@@ -1,12 +1,13 @@
 // Request-scoped context: a request id plus an optional trace sink, carried
 // in a thread-local and re-established on whichever thread does the work.
 //
-// The service mints a RequestContext per wire request in handle_line and
-// installs it with a RequestScope; the engine job that executes the request's
-// cell captures the context by shared_ptr and installs its own RequestScope
-// on the worker thread, so everything downstream — log lines, trace spans,
-// pass instrumentation — sees the same request id without any plumbing
-// through the compile pipeline's signatures.
+// The service mints a RequestContext per wire request in serve_parsed and
+// installs it with a RequestScope on the thread that serves it (a compile
+// cell executes right there); pool jobs working for the request (autotune
+// candidate evaluations) capture the context by shared_ptr and install their
+// own RequestScope on the worker thread, so everything downstream — log
+// lines, trace spans, pass instrumentation — sees the same request id
+// without any plumbing through the compile pipeline's signatures.
 //
 // TraceSink is the abstract span consumer implemented by engine::TraceRecorder
 // (obs cannot depend on engine; engine links obs for the histograms).  A null

@@ -199,8 +199,9 @@ std::string serialize_compile_response(const std::string& id_json,
 //
 // assemble_compile_response() glues the same pieces into one string; by
 // construction it produces exactly the bytes serialize_compile_response
-// yields for the equivalent CompileResponse (the golden transport-equivalence
-// test in tests/server/ holds the two paths together).
+// yields for the equivalent CompileResponse.  The transport-equivalence test
+// (tests/server/epoll_transport_test.cpp) pins the epoll transport's writev'd
+// segments to Reply::to_line() over a corpus of cold, warm and error lines.
 struct CompileBody {
   std::string pre;   // `, "ok": true, ... "cached": ` — follows the echoed id
   std::string post;  // `, "scheduler": ...` — transforms/modulo tail, pre-`}`

@@ -400,10 +400,13 @@ void Server::read_ready(Conn& c) {
 }
 
 void Server::dispatch_lines(Conn& c) {
+  // Scan with a cursor and drop the consumed prefix once per read, so a
+  // pipelined burst of n lines costs O(n), not O(n^2) buffer shifting.
+  std::size_t start = 0;
   std::size_t nl;
-  while ((nl = c.inbuf.find('\n')) != std::string::npos) {
-    std::string line = c.inbuf.substr(0, nl);
-    c.inbuf.erase(0, nl + 1);
+  while ((nl = c.inbuf.find('\n', start)) != std::string::npos) {
+    std::string line = c.inbuf.substr(start, nl - start);
+    start = nl + 1;
     if (!line.empty() && line.back() == '\r') line.pop_back();
     if (line.empty()) continue;
 
@@ -433,6 +436,7 @@ void Server::dispatch_lines(Conn& c) {
     std::atomic_thread_fence(std::memory_order_seq_cst);
     if (lane.parked.load(std::memory_order_relaxed)) wake_lane(lane);
   }
+  c.inbuf.erase(0, start);
 }
 
 void Server::drain_completions() {

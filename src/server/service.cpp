@@ -36,19 +36,14 @@ struct Service::CellOutcome {
 
 struct Service::Inflight {
   std::shared_future<CellOutcome> future;
-  // Cancellation hook for pool-executed cells; null when the cell runs
-  // inline on a shard worker (an inline cell has started by definition, and
-  // running cells are never interrupted).
-  std::shared_ptr<engine::JobGroup> group;
-  std::atomic<int> waiters{1};
 };
 
-// Per-request observability state, shared between the handler thread and the
-// pool job (the job can outlive the handler when a deadline fires, so this
-// is reference-counted, and the trace recorder lives here).
+// Per-request observability state.  Reference-counted because autotune's
+// candidate jobs re-install the request context on pool workers; the trace
+// recorder lives here.
 struct Service::RequestObs {
   std::string id;
-  engine::Stopwatch wall;  // started at handle_line entry
+  engine::Stopwatch wall;  // started when the request id is minted
   std::shared_ptr<engine::TraceRecorder> recorder;  // null unless traced
   obs::RequestContext ctx;
 
@@ -184,14 +179,6 @@ std::uint64_t cell_key(const std::string& source, OptLevel level,
                           debug_sleep_ms);
 }
 
-// Deadline-aware sleep used by debug_sleep_ms: wakes early on cancellation
-// so drains and deadline tests settle promptly.
-void interruptible_sleep(std::int64_t ms, const engine::JobGroup& group) {
-  const auto until = Clock::now() + std::chrono::milliseconds(ms);
-  while (Clock::now() < until && !group.cancel_requested())
-    std::this_thread::sleep_for(std::chrono::milliseconds(2));
-}
-
 // Content hash of one autotune search: source + every search knob, salted in
 // the shared version domain so a knob bump rolls the whole-result cache over
 // with the cells.
@@ -206,6 +193,12 @@ std::uint64_t tune_request_key(const std::string& source, const AutotuneRequest&
   h.u64(frac_bits);
   h.boolean(a.cost_model);
   return h.digest();
+}
+
+Reply flat_reply(std::string line) {
+  Reply r;
+  r.flat = std::move(line);
+  return r;
 }
 
 // Cache payload prefix for whole autotune results: the stored body is the
@@ -617,6 +610,38 @@ void Service::settle_cells(std::size_t n) {
   }
 }
 
+Service::Counter Service::error_counter(ErrorKind kind) {
+  switch (kind) {
+    case ErrorKind::BadRequest: return kBadRequest;
+    case ErrorKind::Overloaded: return kOverloaded;
+    case ErrorKind::ShuttingDown: return kShuttingDown;
+    case ErrorKind::DeadlineExceeded: return kDeadlineExceeded;
+    case ErrorKind::CompileError:
+    case ErrorKind::SimError: return kCompileErrors;
+    case ErrorKind::Internal: break;
+  }
+  return kInternalErrors;
+}
+
+std::string Service::write_request_trace(const RequestObs& ro) const {
+  if (ro.recorder == nullptr) return {};
+  // The request span is recorded explicitly (rather than via SpanScope) so
+  // it lands before the file is written.
+  ro.recorder->record_span("request", "server", 0, ro.recorder->now_us(), ro.id);
+  const std::string path =
+      (std::filesystem::path(cfg_.trace_dir) / ("req-" + ro.id + ".json")).string();
+  std::error_code ec;
+  std::filesystem::create_directories(cfg_.trace_dir, ec);
+  if (!ro.recorder->write_chrome_trace(path)) {
+    obs::log_warn("failed to write request trace", {obs::field("path", path)});
+    return {};
+  }
+  obs::log_info("request trace written",
+                {obs::field("path", path),
+                 obs::field("spans", ro.recorder->event_count())});
+  return path;
+}
+
 Service::ParsedRequest Service::parse_and_route(const std::string& line) const {
   ParsedRequest p;
   std::string error;
@@ -646,40 +671,35 @@ Reply Service::serve(const std::string& line, std::uint64_t queued_ns) {
 }
 
 Reply Service::serve_parsed(ParsedRequest p, std::uint64_t queued_ns) {
-  auto flat = [](std::string s) {
-    Reply r;
-    r.flat = std::move(s);
-    return r;
-  };
   bump(kReceived);
   if (!p.req) {
     bump(kBadRequest);
     obs::Logger::global().warn_rate_limited(
         "bad_request", "request rejected: malformed line",
         {obs::field("error", p.parse_error)});
-    return flat(serialize_error("null", ErrorKind::BadRequest, p.parse_error));
+    return flat_reply(serialize_error("null", ErrorKind::BadRequest, p.parse_error));
   }
   const Request& req = *p.req;
   switch (req.kind) {
     case RequestKind::Stats: {
       bump(kOk);
-      return flat(serialize_stats_response(req.id_json, stats_json()));
+      return flat_reply(serialize_stats_response(req.id_json, stats_json()));
     }
     case RequestKind::Metrics: {
       bump(kOk);
-      return flat(serialize_metrics_response(req.id_json, metrics_exposition()));
+      return flat_reply(serialize_metrics_response(req.id_json, metrics_exposition()));
     }
     case RequestKind::Profile: {
       // Like stats: answers during a drain so accounting stays observable.
       bump(kOk);
-      return flat(serialize_profile_response(req.id_json, profile_json()));
+      return flat_reply(serialize_profile_response(req.id_json, profile_json()));
     }
     case RequestKind::Compile:
     case RequestKind::Batch:
     case RequestKind::Autotune: {
       if (draining()) {
         bump(kShuttingDown);
-        return flat(serialize_error(req.id_json, ErrorKind::ShuttingDown,
+        return flat_reply(serialize_error(req.id_json, ErrorKind::ShuttingDown,
                                     "drain in progress; no new work accepted"));
       }
       const bool wants_trace =
@@ -697,282 +717,31 @@ Reply Service::serve_parsed(ParsedRequest p, std::uint64_t queued_ns) {
       obs::log_debug(req.kind == RequestKind::Compile  ? "compile request"
                      : req.kind == RequestKind::Batch ? "batch request"
                                                       : "autotune request");
-      Reply r;
-      if (req.kind == RequestKind::Batch)
-        r.flat = handle_batch(req);
-      else if (req.kind == RequestKind::Autotune)
-        r.flat = handle_autotune(req, ro);
-      else if (traced)
-        r.flat = handle_compile(req, ro);  // traces need the pool-span path
-      else
-        r = handle_compile_direct(p, ro, queued_ns);
+      Reply r = req.kind == RequestKind::Compile
+                    ? handle_compile(p, ro, queued_ns)
+                : req.kind == RequestKind::Autotune
+                    ? flat_reply(handle_autotune(req, ro))
+                    : flat_reply(handle_batch(req));
       latency_hist_.record(ro->wall.nanos());
       return r;
     }
   }
   bump(kInternalErrors);
-  return flat(
+  return flat_reply(
       serialize_error(req.id_json, ErrorKind::Internal, "unhandled request kind"));
 }
 
-std::string Service::handle_line(const std::string& line) {
-  bump(kReceived);
-
-  std::string error;
-  const auto req = parse_request(line, &error);
-  if (!req) {
-    bump(kBadRequest);
-    obs::Logger::global().warn_rate_limited(
-        "bad_request", "request rejected: malformed line",
-        {obs::field("error", error)});
-    return serialize_error("null", ErrorKind::BadRequest, error);
-  }
-
-  switch (req->kind) {
-    case RequestKind::Stats: {
-      bump(kOk);
-      return serialize_stats_response(req->id_json, stats_json());
-    }
-    case RequestKind::Metrics: {
-      bump(kOk);
-      return serialize_metrics_response(req->id_json, metrics_exposition());
-    }
-    case RequestKind::Profile: {
-      bump(kOk);
-      return serialize_profile_response(req->id_json, profile_json());
-    }
-    case RequestKind::Compile:
-    case RequestKind::Batch:
-    case RequestKind::Autotune: {
-      if (draining()) {
-        bump(kShuttingDown);
-        return serialize_error(req->id_json, ErrorKind::ShuttingDown,
-                               "drain in progress; no new work accepted");
-      }
-      // Mint the request id and install the request context for the handler
-      // thread; the engine job re-installs it on its worker (RequestObs is
-      // shared with the job, which can outlive this frame on a deadline).
-      const bool wants_trace =
-          (req->kind == RequestKind::Compile && req->compile.trace) ||
-          (req->kind == RequestKind::Autotune && req->autotune.trace);
-      const bool traced = wants_trace && !cfg_.trace_dir.empty();
-      auto ro = std::make_shared<RequestObs>(
-          strformat("r-%" PRIu64,
-                    request_seq_.fetch_add(1, std::memory_order_relaxed) + 1),
-          traced);
-      if (wants_trace && !traced)
-        obs::Logger::global().warn_rate_limited(
-            "trace_untraceable", "trace requested but no --trace-dir configured");
-      obs::RequestScope scope(&ro->ctx);
-      obs::log_debug(req->kind == RequestKind::Compile  ? "compile request"
-                     : req->kind == RequestKind::Batch ? "batch request"
-                                                       : "autotune request");
-      std::string response = req->kind == RequestKind::Compile
-                                 ? handle_compile(*req, ro)
-                             : req->kind == RequestKind::Autotune
-                                 ? handle_autotune(*req, ro)
-                                 : handle_batch(*req);
-      latency_hist_.record(ro->wall.nanos());
-      return response;
-    }
-  }
-  bump(kInternalErrors);
-  return serialize_error(req->id_json, ErrorKind::Internal, "unhandled request kind");
-}
-
-std::string Service::handle_compile(const Request& req,
-                                    const std::shared_ptr<RequestObs>& ro) {
-  auto respond = [&](CellOutcome out) {
-    out.resp.request_id = ro->id;
-    if (out.ok) {
-      bump(kOk);
-      // Every cell carries its summary; the request's flag only gates
-      // serialization, so coalesced twins with different flags each get
-      // the response shape they asked for.
-      out.resp.have_profile = req.compile.profile;
-      return serialize_compile_response(req.id_json, out.resp);
-    }
-    bump(out.err == ErrorKind::Internal ? kInternalErrors : kCompileErrors);
-    obs::log_debug("compile request failed",
-                   {obs::field("kind", error_kind_name(out.err)),
-                    obs::field("message", out.message)});
-    return serialize_error(req.id_json, out.err, out.message);
-  };
-
-  const CompileRequest& c = req.compile;
-  std::string source = c.source;
-  if (!c.workload.empty()) {
-    const Workload* w = find_workload(c.workload);
-    if (w == nullptr) {
-      bump(kBadRequest);
-      return serialize_error(req.id_json, ErrorKind::BadRequest,
-                             strformat("unknown workload '%s'", c.workload.c_str()));
-    }
-    source = w->source;
-  }
-
-  const std::uint64_t key = cell_key(source, c.level, c.transforms, c.nest,
-                                     c.scheduler, c.issue, c.unroll, c.debug_sleep_ms);
-  Shard& sh = shard_for(key);
-
-  // Warm path: a previously served identical request costs one cache lookup.
-  if (auto payload = sh.cache->lookup(key)) {
-    CellOutcome out;
-    if (decode_cell(*payload, out)) {
-      out.resp.cached = true;
-      return respond(std::move(out));
-    }
-    sh.cache->invalidate(key);
-  }
-
-  // Join an identical in-flight request, or admit a new cell.  Admission and
-  // publication are atomic per shard, so duplicates can never slip past the
-  // map; the cell-count bound itself is a lock-free global counter.
-  std::shared_ptr<Inflight> entry;
-  bool joined = false;
-  {
-    std::lock_guard<std::mutex> lock(sh.mu);
-    auto it = sh.inflight.find(key);
-    if (it != sh.inflight.end()) {
-      entry = it->second;
-      entry->waiters.fetch_add(1, std::memory_order_relaxed);
-      joined = true;
-    } else if (try_admit(1)) {
-      // Bounded queue: an admission that would exceed `workers + queue_limit`
-      // cells leaves `entry` null and is rejected outside the lock.
-      entry = std::make_shared<Inflight>();
-      entry->group = std::make_shared<engine::JobGroup>(*pool_);
-      auto group = entry->group;
-      engine::Stopwatch queued;
-      // Submitted outside the group wrapper: the outcome (including
-      // cancelled-while-queued) is always a value, so the in-flight erase and
-      // cell settlement below run on every path.
-      entry->future =
-          pool_->submit([this, source, c, key, group, ro, queued]() -> CellOutcome {
-            queue_wait_hist_.record(queued.nanos());
-            // Re-establish the minting request's context on the worker so
-            // logs, spans and the trace recorder follow the request across
-            // the thread hop.
-            obs::RequestScope scope(&ro->ctx);
-            obs::SpanScope span("job", "engine");
-            CellOutcome out;
-            if (c.debug_sleep_ms > 0 && !group->cancel_requested())
-              interruptible_sleep(c.debug_sleep_ms, *group);
-            if (group->cancel_requested()) {
-              out.err = ErrorKind::DeadlineExceeded;
-              out.message = "cancelled while queued (deadline exceeded)";
-            } else {
-              Shard& osh = shard_for(key);
-              // Close the lookup->admit race: an identical cell can finish
-              // (cache store, then inflight erase, in that order) between
-              // this request's cache miss and its admission.  The admission
-              // lock synchronizes with the erase, so re-checking here is
-              // guaranteed to see the twin's payload — every cell executes
-              // (and accumulates into the profile counters) exactly once.
-              bool raced_hit = false;
-              if (auto payload = osh.cache->lookup(key)) {
-                CellOutcome hit;
-                if (decode_cell(*payload, hit)) {
-                  hit.resp.cached = true;
-                  out = std::move(hit);
-                  raced_hit = true;
-                }
-              }
-              if (!raced_hit) {
-                out = compute_cell(source, c.level, c.transforms, c.nest,
-                                   c.scheduler, c.issue, c.unroll);
-                osh.cache->store(key, encode_cell(out));
-                bump(kCellsExecuted);
-              }
-            }
-            {
-              std::lock_guard<std::mutex> mlock(shard_for(key).mu);
-              shard_for(key).inflight.erase(key);
-            }
-            settle_cells(1);
-            return out;
-          }).share();
-      sh.inflight.emplace(key, entry);
-    }
-  }
-
-  if (entry == nullptr) {
-    bump(kOverloaded);
-    obs::Logger::global().warn_rate_limited(
-        "overloaded", "request rejected: admission queue full",
-        {obs::field("capacity", capacity_)});
-    return serialize_error(
-        req.id_json, ErrorKind::Overloaded,
-        strformat("admission queue full (%zu cells in flight, capacity %zu)",
-                  inflight_cells(), capacity_));
-  }
-  if (joined) bump(kCoalesced);
-
-  const std::int64_t deadline_ms =
-      c.deadline_ms > 0 ? c.deadline_ms : cfg_.default_deadline_ms;
-  std::shared_future<CellOutcome> fut = entry->future;
-  if (deadline_ms > 0 &&
-      fut.wait_for(std::chrono::milliseconds(deadline_ms)) ==
-          std::future_status::timeout) {
-    // Last waiter out cancels the job; if it has not started it settles as
-    // cancelled, if it is running it finishes into the cache for next time.
-    // (Inline-executed cells have no group — they are running by definition.)
-    if (entry->waiters.fetch_sub(1, std::memory_order_acq_rel) == 1 &&
-        entry->group != nullptr)
-      entry->group->cancel();
-    bump(kDeadlineExceeded);
-    obs::log_debug("deadline exceeded while waiting",
-                   {obs::field("deadline_ms", deadline_ms)});
-    return serialize_error(req.id_json, ErrorKind::DeadlineExceeded,
-                           strformat("deadline of %lld ms exceeded",
-                                     static_cast<long long>(deadline_ms)));
-  }
-  entry->waiters.fetch_sub(1, std::memory_order_acq_rel);
-  CellOutcome out = fut.get();
-  if (!out.ok && out.err == ErrorKind::DeadlineExceeded)
-    bump(kDeadlineExceeded);
-
-  // The trace belongs to the request that admitted the cell; joiners shared
-  // the future but not the spans.  The request span is recorded explicitly
-  // (rather than via SpanScope) so it lands before the file is written.
-  if (ro->recorder != nullptr && !joined) {
-    ro->recorder->record_span("request", "server", 0,
-                              ro->recorder->now_us(), ro->id);
-    const std::string path =
-        (std::filesystem::path(cfg_.trace_dir) / ("req-" + ro->id + ".json"))
-            .string();
-    std::error_code ec;
-    std::filesystem::create_directories(cfg_.trace_dir, ec);
-    if (ro->recorder->write_chrome_trace(path)) {
-      out.resp.trace_file = path;
-      obs::log_info("request trace written",
-                    {obs::field("path", path),
-                     obs::field("spans", ro->recorder->event_count())});
-    } else {
-      obs::log_warn("failed to write request trace", {obs::field("path", path)});
-    }
-  }
-  return respond(std::move(out));
-}
-
-Reply Service::handle_compile_direct(const ParsedRequest& p,
-                                     const std::shared_ptr<RequestObs>& ro,
-                                     std::uint64_t queued_ns) {
+Reply Service::handle_compile(const ParsedRequest& p,
+                              const std::shared_ptr<RequestObs>& ro,
+                              std::uint64_t queued_ns) {
   const Request& req = *p.req;
   const CompileRequest& c = req.compile;
-  auto flat = [](std::string s) {
-    Reply r;
-    r.flat = std::move(s);
-    return r;
-  };
-  // Error/bookkeeping twin of the pool path's respond(): same counters, same
-  // bytes (serialize_error for failures, segment assembly for successes).
   auto respond_error = [&](const CellOutcome& out) {
-    bump(out.err == ErrorKind::Internal ? kInternalErrors : kCompileErrors);
+    bump(error_counter(out.err));
     obs::log_debug("compile request failed",
                    {obs::field("kind", error_kind_name(out.err)),
                     obs::field("message", out.message)});
-    return flat(serialize_error(req.id_json, out.err, out.message));
+    return flat_reply(serialize_error(req.id_json, out.err, out.message));
   };
   auto segment_reply = [&](std::shared_ptr<const CompileBody> body, bool cached) {
     bump(kOk);
@@ -986,7 +755,7 @@ Reply Service::handle_compile_direct(const ParsedRequest& p,
 
   if (!c.workload.empty() && p.source.empty()) {
     bump(kBadRequest);
-    return flat(serialize_error(
+    return flat_reply(serialize_error(
         req.id_json, ErrorKind::BadRequest,
         strformat("unknown workload '%s'", c.workload.c_str())));
   }
@@ -1038,18 +807,18 @@ Reply Service::handle_compile_direct(const ParsedRequest& p,
     bump(kDeadlineExceeded);
     obs::log_debug("deadline exceeded while waiting",
                    {obs::field("deadline_ms", deadline_ms)});
-    return flat(serialize_error(req.id_json, ErrorKind::DeadlineExceeded,
-                                strformat("deadline of %lld ms exceeded",
-                                          static_cast<long long>(deadline_ms))));
+    return flat_reply(serialize_error(req.id_json, ErrorKind::DeadlineExceeded,
+                                      strformat("deadline of %lld ms exceeded",
+                                                static_cast<long long>(deadline_ms))));
   };
-  // The dispatch ring is this path's admission queue: a line whose ring wait
-  // already consumed its whole deadline is cancelled-while-queued, before it
-  // can occupy an admission slot.
+  // The dispatch ring is the admission queue: a line whose ring wait already
+  // consumed its whole deadline is cancelled-while-queued, before it can
+  // occupy an admission slot.
   if (deadline_ms > 0 && queued_ms >= deadline_ms) return deadline_reply();
 
   // Join an identical in-flight cell (it can only be executing on another
-  // shard worker or a pool thread — identical keys on THIS shard's ring are
-  // processed serially), or admit and execute inline.
+  // thread — identical keys on THIS shard's ring are processed serially), or
+  // admit and execute inline.
   std::shared_ptr<Inflight> entry;
   std::promise<CellOutcome> settle_promise;
   bool executor = false;
@@ -1058,7 +827,6 @@ Reply Service::handle_compile_direct(const ParsedRequest& p,
     auto it = sh.inflight.find(key);
     if (it != sh.inflight.end()) {
       entry = it->second;
-      entry->waiters.fetch_add(1, std::memory_order_relaxed);
     } else if (try_admit(1)) {
       entry = std::make_shared<Inflight>();
       entry->future = settle_promise.get_future().share();
@@ -1071,89 +839,82 @@ Reply Service::handle_compile_direct(const ParsedRequest& p,
     obs::Logger::global().warn_rate_limited(
         "overloaded", "request rejected: admission queue full",
         {obs::field("capacity", capacity_)});
-    return flat(serialize_error(
+    return flat_reply(serialize_error(
         req.id_json, ErrorKind::Overloaded,
         strformat("admission queue full (%zu cells in flight, capacity %zu)",
                   inflight_cells(), capacity_)));
   }
 
+  // Joiners share the executor's outcome but not its spans: only the
+  // executor writes a request trace.
   if (!executor) {
     bump(kCoalesced);
-    std::shared_future<CellOutcome> fut = entry->future;
     if (deadline_ms > 0 &&
-        fut.wait_for(std::chrono::milliseconds(deadline_ms - queued_ms)) ==
-            std::future_status::timeout) {
-      if (entry->waiters.fetch_sub(1, std::memory_order_acq_rel) == 1 &&
-          entry->group != nullptr)
-        entry->group->cancel();
+        entry->future.wait_for(std::chrono::milliseconds(deadline_ms - queued_ms)) ==
+            std::future_status::timeout)
       return deadline_reply();
-    }
-    entry->waiters.fetch_sub(1, std::memory_order_acq_rel);
-    CellOutcome out = fut.get();
-    if (!out.ok && out.err == ErrorKind::DeadlineExceeded)
-      bump(kDeadlineExceeded);
+    CellOutcome out = entry->future.get();
+    if (!out.ok) return respond_error(out);
+    bump(kOk);
     out.resp.request_id = ro->id;
-    if (out.ok) {
-      bump(kOk);
-      out.resp.have_profile = c.profile;
-      return flat(serialize_compile_response(req.id_json, out.resp));
-    }
-    return respond_error(out);
+    out.resp.have_profile = c.profile;
+    return flat_reply(serialize_compile_response(req.id_json, out.resp));
   }
 
-  // Executor: the cell runs here, on the shard worker that owns its state.
+  // Executor: the cell runs here, on the calling (shard worker) thread.
   CellOutcome out;
   bool deadline_hit = false;
-  obs::SpanScope span("job", "engine");
-  if (c.debug_sleep_ms > 0) {
-    // debug_sleep stands in for long compute; honor the remaining deadline
-    // budget the way a queued pool job honors cancellation.
-    const auto sleep_end = Clock::now() + std::chrono::milliseconds(c.debug_sleep_ms);
-    const auto deadline_end =
-        Clock::now() + std::chrono::milliseconds(deadline_ms - queued_ms);
-    while (Clock::now() < sleep_end) {
-      if (deadline_ms > 0 && Clock::now() >= deadline_end) {
-        deadline_hit = true;
-        break;
-      }
-      std::this_thread::sleep_for(std::chrono::milliseconds(2));
-    }
-  }
-  std::shared_ptr<const CompileBody> body;
   bool raced_hit = false;
-  if (deadline_hit) {
-    out.ok = false;
-    out.err = ErrorKind::DeadlineExceeded;
-    out.message = "cancelled while queued (deadline exceeded)";
-  } else {
-    // Close the lookup->admit race: an identical cell can finish (cache
-    // store, then inflight erase, in that order) between this request's
-    // cache miss and its admission.  The admission lock synchronizes with
-    // the erase, so re-checking here is guaranteed to see the twin's
-    // payload — every cell executes (and accumulates into the profile
-    // counters) exactly once.
-    if (auto payload = sh.cache->lookup(key)) {
-      CellOutcome hit;
-      if (decode_cell(*payload, hit)) {
-        out = std::move(hit);
-        raced_hit = true;
+  std::shared_ptr<const CompileBody> body;
+  {
+    obs::SpanScope span("job", "engine");
+    if (c.debug_sleep_ms > 0) {
+      // debug_sleep stands in for long compute and honors the remaining
+      // deadline budget.
+      const auto sleep_end = Clock::now() + std::chrono::milliseconds(c.debug_sleep_ms);
+      const auto deadline_end =
+          Clock::now() + std::chrono::milliseconds(deadline_ms - queued_ms);
+      while (Clock::now() < sleep_end) {
+        if (deadline_ms > 0 && Clock::now() >= deadline_end) {
+          deadline_hit = true;
+          break;
+        }
+        std::this_thread::sleep_for(std::chrono::milliseconds(2));
       }
     }
-    if (!raced_hit) {
-      try {
-        out = compute_cell(p.source, c.level, c.transforms, c.nest, c.scheduler,
-                           c.issue, c.unroll);
-      } catch (const std::exception& e) {
-        out.ok = false;
-        out.err = ErrorKind::Internal;
-        out.message = strformat("cell threw: %s", e.what());
+    if (deadline_hit) {
+      out.err = ErrorKind::DeadlineExceeded;
+      out.message = "cancelled while queued (deadline exceeded)";
+    } else {
+      // Close the lookup->admit race: an identical cell can finish (cache
+      // store, then inflight erase, in that order) between this request's
+      // cache miss and its admission.  The admission lock synchronizes with
+      // the erase, so re-checking here is guaranteed to see the twin's
+      // payload — every cell executes (and accumulates into the profile
+      // counters) exactly once.
+      if (auto payload = sh.cache->lookup(key)) {
+        CellOutcome hit;
+        if (decode_cell(*payload, hit)) {
+          out = std::move(hit);
+          raced_hit = true;
+        }
       }
-      sh.cache->store(key, encode_cell(out));
-      bump(kCellsExecuted);
-    }
-    if (out.ok) {
-      out.resp.have_profile = c.profile;  // joiners re-gate from their own flag
-      body = std::make_shared<const CompileBody>(serialize_compile_body(out.resp));
+      if (!raced_hit) {
+        try {
+          out = compute_cell(p.source, c.level, c.transforms, c.nest, c.scheduler,
+                             c.issue, c.unroll);
+        } catch (const std::exception& e) {
+          out.ok = false;
+          out.err = ErrorKind::Internal;
+          out.message = strformat("cell threw: %s", e.what());
+        }
+        sh.cache->store(key, encode_cell(out));
+        bump(kCellsExecuted);
+      }
+      if (out.ok) {
+        out.resp.have_profile = c.profile;  // joiners re-gate from their own flag
+        body = std::make_shared<const CompileBody>(serialize_compile_body(out.resp));
+      }
     }
   }
   settle_promise.set_value(out);
@@ -1165,8 +926,15 @@ Reply Service::handle_compile_direct(const ParsedRequest& p,
   settle_cells(1);
 
   if (deadline_hit) return deadline_reply();
-  if (out.ok) return segment_reply(std::move(body), /*cached=*/raced_hit);
-  return respond_error(out);
+  const std::string trace_file = write_request_trace(*ro);
+  if (!out.ok) return respond_error(out);
+  if (trace_file.empty()) return segment_reply(std::move(body), /*cached=*/raced_hit);
+  // A traced reply names its trace file, so it is built whole.
+  bump(kOk);
+  out.resp.request_id = ro->id;
+  out.resp.cached = raced_hit;
+  out.resp.trace_file = trace_file;
+  return flat_reply(serialize_compile_response(req.id_json, out.resp));
 }
 
 std::string Service::handle_batch(const Request& req) {
@@ -1279,7 +1047,6 @@ std::string Service::handle_batch(const Request& req) {
         futures[i].wait_until(deadline_tp) == std::future_status::timeout) {
       group.cancel();  // queued members settle as JobCancelled below
       cancelled = true;
-      bump(kDeadlineExceeded);
     }
     try {
       cells[i] = futures[i].get();
@@ -1321,7 +1088,7 @@ std::string Service::handle_autotune(const Request& req,
                                          ro->id, trace_file,
                                          ro->wall.seconds() * 1e3);
     }
-    bump(out.err == ErrorKind::Internal ? kInternalErrors : kCompileErrors);
+    bump(error_counter(out.err));
     obs::log_debug("autotune request failed",
                    {obs::field("kind", error_kind_name(out.err)),
                     obs::field("message", out.message)});
@@ -1457,24 +1224,7 @@ std::string Service::handle_autotune(const Request& req,
   tune_jobs_.fetch_sub(1, std::memory_order_relaxed);
   settle_cells(1);
 
-  std::string trace_file;
-  if (ro->recorder != nullptr) {
-    ro->recorder->record_span("request", "server", 0, ro->recorder->now_us(),
-                              ro->id);
-    const std::string path =
-        (std::filesystem::path(cfg_.trace_dir) / ("req-" + ro->id + ".json"))
-            .string();
-    std::error_code ec;
-    std::filesystem::create_directories(cfg_.trace_dir, ec);
-    if (ro->recorder->write_chrome_trace(path)) {
-      trace_file = path;
-      obs::log_info("request trace written",
-                    {obs::field("path", path),
-                     obs::field("spans", ro->recorder->event_count())});
-    } else {
-      obs::log_warn("failed to write request trace", {obs::field("path", path)});
-    }
-  }
+  const std::string trace_file = write_request_trace(*ro);
   return respond(out, /*cached=*/false, trace_file);
 }
 

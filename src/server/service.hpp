@@ -2,19 +2,19 @@
 // coalescing, deadlines and graceful drain on top of the experiment engine —
 // sharded per core so the hot path never takes a cross-core lock.
 //
-// Request life cycle:
+// Request life cycle (one path for every transport and for tests):
 //
-//   handle_line(text) -> parse -> admission -> engine pool -> response line
-//   serve(text)       -> parse -> admission -> inline on the shard worker
-//                                              -> zero-copy response segments
+//   serve(text) = parse_and_route (IO thread: parse, content hash, shard)
+//               + serve_parsed    (shard worker: admission, inline execution
+//                                  -> zero-copy response segments)
 //
 //   * State is sharded: the result cache, the pre-serialized hot-response
 //     tier and the in-flight coalescing map are split into `workers` shards
 //     keyed by the cell's content hash.  The epoll transport routes requests
 //     so that a shard's structures are touched by one worker thread almost
-//     always; per-shard mutexes remain for cross-shard joiners, the
-//     pool-backed handle_line path and the stats walkers, but they are
-//     uncontended in steady state.
+//     always; per-shard mutexes remain for cross-shard joiners, batch and
+//     autotune pool jobs and the stats walkers, but they are uncontended in
+//     steady state.
 //   * Admission is a bounded counter: at most `workers + queue_limit` study
 //     cells may be in flight (queued or executing).  A request that would
 //     exceed the bound is rejected immediately with an `overloaded` error —
@@ -31,11 +31,12 @@
 //     lookup and a writev — no JSON is built per reply (protocol.hpp
 //     CompileBody).
 //   * Every request carries a deadline (client-set or the service default).
-//     On the pool path a deadline that fires while the job is still queued
-//     cancels it through the engine's JobGroup hook; on the direct path the
-//     queue is the transport's dispatch ring, and a line whose ring wait
-//     already exceeded its deadline is answered `deadline_exceeded` without
-//     executing.  A cell already running always finishes into the cache.
+//     The compile queue is the transport's dispatch ring: a line whose ring
+//     wait already exceeded its deadline is answered `deadline_exceeded`
+//     without executing, and a joiner stops waiting for its in-flight twin
+//     when its own deadline fires.  A cell already computing always finishes
+//     into the cache.  Batch members still queued on the engine pool when
+//     the batch deadline fires are cancelled through its JobGroup hook.
 //   * begin_drain() flips the service into shutdown mode: compile/batch
 //     requests are refused with `shutting_down` (stats still answers), and
 //     wait_drained() blocks until every admitted cell has settled.
@@ -56,9 +57,9 @@
 //     sim_issue_occupancy_total{slots=...}.
 //
 // The service is transport-agnostic and fully thread-safe; server.cpp feeds
-// it lines from its shard workers via serve(), tests call handle_line
-// directly.  Both paths produce byte-identical response lines for the same
-// request sequence (pinned by tests/server/epoll_transport_test.cpp).
+// it lines from its shard workers via serve_parsed(), tests call serve()
+// directly.  The epoll transport's writev'd bytes equal Reply::to_line() for
+// the same request sequence (pinned by tests/server/epoll_transport_test.cpp).
 #pragma once
 
 #include <array>
@@ -130,13 +131,9 @@ class Service {
   Service(const Service&) = delete;
   Service& operator=(const Service&) = delete;
 
-  // Processes one request line, blocking until the response is ready.
-  // Always returns a single response line (no trailing newline) — every
-  // failure mode has a protocol representation.  Compile cells run on the
-  // engine pool.
-  std::string handle_line(const std::string& line);
-
-  // Transport entry, split in two so each half runs on the right thread.
+  // The request entry, split in two so each half runs on the right thread.
+  // Every request gets exactly one reply (Reply::to_line() has no trailing
+  // newline) — every failure mode has a protocol representation.
   //
   // parse_and_route runs on the IO thread: it parses the line once, resolves
   // the compile source and computes the cell's content hash, whose shard
@@ -145,9 +142,9 @@ class Service {
   // hits stay shard-local).  Unroutable lines (parse errors, stats, batch,
   // unknown workloads) get shard 0 — any shard answers them correctly.
   //
-  // serve_parsed runs on the shard worker: identical protocol behavior to
-  // handle_line, but compile cells execute inline on the calling thread (the
-  // shard worker set IS the execution resource) and warm hits return shared
+  // serve_parsed runs on the shard worker, blocking until the reply is
+  // ready: compile cells execute inline on the calling thread (the shard
+  // worker set IS the execution resource) and warm hits return shared
   // pre-serialized segments instead of a fresh string.  `queued_ns` is the
   // time the line waited in the dispatch ring; it counts against the
   // request's deadline and lands in the queue-wait histogram.
@@ -221,6 +218,9 @@ class Service {
   void bump(Counter c) {
     counters_[c].fetch_add(1, std::memory_order_relaxed);
   }
+  // The outcome counter an error reply of `kind` bumps.  Every reply bumps
+  // exactly one outcome counter, so received == ok + the error counters.
+  static Counter error_counter(ErrorKind kind);
 
   // One state shard.  Padded so neighbouring shards never false-share; the
   // mutex is uncontended when the transport routes by the same hash.
@@ -247,13 +247,12 @@ class Service {
   // Exactly-once bookkeeping when admitted cells settle.
   void settle_cells(std::size_t n);
 
-  std::string handle_compile(const Request& req, const std::shared_ptr<RequestObs>& ro);
-  // Direct-execution variant for serve_parsed(): runs the cell on the
-  // calling thread, keeps coalescing via a promise-backed in-flight entry,
-  // returns zero-copy segments on warm hits.
-  Reply handle_compile_direct(const ParsedRequest& p,
-                              const std::shared_ptr<RequestObs>& ro,
-                              std::uint64_t queued_ns);
+  // Runs the cell on the calling thread, coalesces identical in-flight
+  // cells via a promise-backed in-flight entry, returns zero-copy segments
+  // on warm hits.
+  Reply handle_compile(const ParsedRequest& p,
+                       const std::shared_ptr<RequestObs>& ro,
+                       std::uint64_t queued_ns);
   std::string handle_batch(const Request& req);
   // Autotune verb: coalesced by search content hash, whole results cached,
   // candidate evaluations fanned onto the pool via TuneEvaluator (sharing
@@ -261,6 +260,11 @@ class Service {
   // cancellation hook so it stops with the best found so far.
   std::string handle_autotune(const Request& req,
                               const std::shared_ptr<RequestObs>& ro);
+
+  // Closes a traced request's Chrome trace with its `request` span and
+  // writes it to <trace_dir>/req-<id>.json; returns the path, or "" when the
+  // request is untraced or the write failed.
+  std::string write_request_trace(const RequestObs& ro) const;
 
   CellOutcome compute_cell(const std::string& source, OptLevel level,
                            const std::optional<TransformSet>& transforms,

@@ -1,6 +1,7 @@
 // Parameterized property sweeps (gtest TEST_P / INSTANTIATE_TEST_SUITE_P).
 #include <gtest/gtest.h>
 
+#include <string>
 #include <tuple>
 
 #include "common/fixtures.hpp"
@@ -58,8 +59,11 @@ INSTANTIATE_TEST_SUITE_P(
 // cycles monotone in width.
 // ---------------------------------------------------------------------------
 
+// The workload name is a std::string, not a const char*: gtest prints a char
+// pointer with its address, which would put a run-dependent value into the
+// discovered test names.
 class LevelWidthSweep
-    : public ::testing::TestWithParam<std::tuple<const char*, OptLevel>> {};
+    : public ::testing::TestWithParam<std::tuple<std::string, OptLevel>> {};
 
 TEST_P(LevelWidthSweep, SemanticsAndWidthMonotonicity) {
   const auto [name, level] = GetParam();
@@ -89,8 +93,9 @@ TEST_P(LevelWidthSweep, SemanticsAndWidthMonotonicity) {
 
 INSTANTIATE_TEST_SUITE_P(
     WorkloadsByLevel, LevelWidthSweep,
-    ::testing::Combine(::testing::Values("dotprod", "maxval", "SDS-4", "CSS-1",
-                                         "matrix300-1"),
+    ::testing::Combine(::testing::Values(std::string("dotprod"), std::string("maxval"),
+                                         std::string("SDS-4"), std::string("CSS-1"),
+                                         std::string("matrix300-1")),
                        ::testing::Values(OptLevel::Conv, OptLevel::Lev2, OptLevel::Lev4)),
     [](const ::testing::TestParamInfo<LevelWidthSweep::ParamType>& info) {
       std::string n = std::get<0>(info.param);

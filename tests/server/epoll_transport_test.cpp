@@ -1,16 +1,17 @@
 // Transport-equivalence tests: the epoll/writev path must be byte-identical
-// to the in-process handle_line path, and pipelined replies must come back
-// in request order even when shards complete out of order.
+// to in-process serve() calls, and pipelined replies must come back in
+// request order even when shards complete out of order.
 //
 // Byte-identity is the acceptance contract for the zero-copy response split
 // (protocol.hpp CompileBody): a warm reply assembled from pre-serialized
 // segments via writev and a cold reply built as one string must be the same
 // bytes on the wire.  Two identically-configured Services are driven with
-// the same line sequence — one through handle_line, one through a real
-// Server socket — so the minted request ids (r-<n>) line up and the replies
-// can be compared verbatim.
+// the same line sequence — one through serve(), one through a real Server
+// socket — so the minted request ids (r-<n>) line up and the replies can be
+// compared verbatim.
 #include <gtest/gtest.h>
 
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -30,10 +31,12 @@ ServiceConfig workers(int n) {
   return cfg;
 }
 
-std::string compile_line(std::uint64_t seed, const char* extra = "") {
+// `id` defaults to the seed.
+std::string compile_line(std::uint64_t seed, const char* extra = "",
+                         std::optional<std::uint64_t> id = std::nullopt) {
   return strformat(
       R"({"id": %llu, "kind": "compile", "source": "%s", "level": "lev4", "issue": 8%s})",
-      static_cast<unsigned long long>(seed),
+      static_cast<unsigned long long>(id.value_or(seed)),
       json_escape(ilp::testing::random_program(seed)).c_str(), extra);
 }
 
@@ -55,16 +58,16 @@ std::vector<std::string> corpus_lines() {
   return lines;
 }
 
-TEST(EpollTransport, RepliesAreByteIdenticalToHandleLine) {
+TEST(EpollTransport, RepliesAreByteIdenticalToInProcessServe) {
   const std::vector<std::string> lines = corpus_lines();
 
-  // Reference: the in-process path, one fresh service.
+  // Reference: in-process serve() on one fresh service.
   std::vector<std::string> expected;
   {
     Service reference(workers(2));
     expected.reserve(lines.size());
     for (const std::string& line : lines)
-      expected.push_back(reference.handle_line(line));
+      expected.push_back(reference.serve(line).to_line());
   }
 
   // Same sequence over a real socket, sequentially so the request-id mint
@@ -116,6 +119,27 @@ TEST(EpollTransport, PipelinedRepliesKeepRequestOrder) {
     const std::int64_t want = i == 0 ? 9'210 : static_cast<std::int64_t>(9'199 + i);
     EXPECT_EQ(v->find("id")->as_int(), want)
         << "reply " << i << " out of order: " << *reply;
+  }
+
+  // One large burst in a single write: the connection's read buffer holds
+  // hundreds of complete lines at once (warm compiles spread over both
+  // shards, stats on shard 0), and every reply still comes back in request
+  // order.
+  constexpr std::uint64_t kBurst = 300;
+  wire.clear();
+  for (std::uint64_t i = 0; i < kBurst; ++i)
+    wire += (i % 3 == 0 ? strformat(R"({"id": %llu, "kind": "stats"})",
+                                    static_cast<unsigned long long>(i))
+                        : compile_line(9'200 + i % 4, "", i)) +
+            "\n";
+  ASSERT_TRUE(client.send_raw(wire));
+  for (std::uint64_t i = 0; i < kBurst; ++i) {
+    const auto reply = client.recv_line(30'000);
+    ASSERT_TRUE(reply.has_value()) << "no reply to burst line " << i;
+    const auto v = JsonValue::parse(*reply);
+    ASSERT_TRUE(v.has_value()) << *reply;
+    ASSERT_EQ(v->find("id")->as_int(), static_cast<std::int64_t>(i))
+        << "burst reply out of order: " << *reply;
   }
 }
 

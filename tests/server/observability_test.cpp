@@ -1,6 +1,6 @@
 // End-to-end observability through the service layer: the `metrics` verb,
 // per-request trace files, transformation counters in responses, and the
-// latency histograms backing stats_json — all via handle_line, no sockets.
+// latency histograms backing stats_json — all via serve(), no sockets.
 #include <gtest/gtest.h>
 
 #include <unistd.h>
@@ -56,10 +56,10 @@ TEST(Observability, MetricsVerbReturnsValidPrometheusExposition) {
   Service service(ServiceConfig{});
   // Give the histograms something to chew on.
   for (std::uint64_t seed = 1; seed <= 3; ++seed)
-    parse_ok(service.handle_line(compile_line(seed)));
+    parse_ok(service.serve(compile_line(seed)).to_line());
 
   const auto reply =
-      parse_ok(service.handle_line(R"({"id": "m", "kind": "metrics"})"));
+      parse_ok(service.serve(R"({"id": "m", "kind": "metrics"})").to_line());
   ASSERT_TRUE(reply.find("ok")->as_bool());
   EXPECT_EQ(reply.find("kind")->as_string(), "metrics");
   EXPECT_EQ(reply.find("format")->as_string(), "prometheus-0.0.4");
@@ -95,9 +95,9 @@ constexpr const char* kDotProduct =
 
 TEST(Observability, CompileResponseCarriesTransformCounters) {
   Service service(ServiceConfig{});
-  const auto reply = parse_ok(service.handle_line(
+  const auto reply = parse_ok(service.serve(
       strformat(R"({"id": 1, "kind": "compile", "source": "%s", "level": "lev4"})",
-                kDotProduct)));
+                kDotProduct)).to_line());
   ASSERT_TRUE(reply.find("ok")->as_bool()) << reply.find("error") << "\n";
   const JsonValue* t = reply.find("transforms");
   ASSERT_NE(t, nullptr);
@@ -119,9 +119,9 @@ TEST(Observability, CompileResponseCarriesTransformCounters) {
 
 TEST(Observability, ConvCellReportsZeroTransforms) {
   Service service(ServiceConfig{});
-  const auto reply = parse_ok(service.handle_line(
+  const auto reply = parse_ok(service.serve(
       strformat(R"({"id": 1, "kind": "compile", "source": "%s", "level": "conv"})",
-                kDotProduct)));
+                kDotProduct)).to_line());
   ASSERT_TRUE(reply.find("ok")->as_bool());
   const JsonValue* t = reply.find("transforms");
   ASSERT_NE(t, nullptr);
@@ -137,7 +137,7 @@ TEST(Observability, TracedRequestWritesChromeTraceWithCorrelatedSpans) {
   Service service(cfg);
 
   const auto reply =
-      parse_ok(service.handle_line(compile_line(42, "lev4", /*trace=*/true)));
+      parse_ok(service.serve(compile_line(42, "lev4", /*trace=*/true)).to_line());
   ASSERT_TRUE(reply.find("ok")->as_bool());
   ASSERT_NE(reply.find("request_id"), nullptr);
   const std::string rid = reply.find("request_id")->as_string();
@@ -176,7 +176,7 @@ TEST(Observability, UntracedRequestsWriteNothing) {
   ServiceConfig cfg;
   cfg.trace_dir = traces.path;
   Service service(cfg);
-  parse_ok(service.handle_line(compile_line(43)));
+  parse_ok(service.serve(compile_line(43)).to_line());
   std::size_t files = 0;
   for ([[maybe_unused]] const auto& e :
        std::filesystem::directory_iterator(traces.path))
@@ -187,7 +187,7 @@ TEST(Observability, UntracedRequestsWriteNothing) {
 TEST(Observability, TraceRequestWithoutTraceDirStillSucceeds) {
   Service service(ServiceConfig{});
   const auto reply =
-      parse_ok(service.handle_line(compile_line(44, "lev4", /*trace=*/true)));
+      parse_ok(service.serve(compile_line(44, "lev4", /*trace=*/true)).to_line());
   ASSERT_TRUE(reply.find("ok")->as_bool());
   EXPECT_EQ(reply.find("trace_file"), nullptr);
 }
@@ -196,12 +196,12 @@ TEST(Observability, StatsJsonExposesLatencyPercentilesAndGauges) {
   Service service(ServiceConfig{});
   // The latency histogram lives in the process-wide registry, so other
   // tests in this binary may already have fed it: assert on the delta.
-  const auto before = parse_ok(service.handle_line(R"({"id": 1, "kind": "stats"})"));
+  const auto before = parse_ok(service.serve(R"({"id": 1, "kind": "stats"})").to_line());
   const std::int64_t baseline =
       before.find("stats")->find("latency_us")->find("count")->as_int();
   for (std::uint64_t seed = 10; seed < 14; ++seed)
-    parse_ok(service.handle_line(compile_line(seed)));
-  const auto reply = parse_ok(service.handle_line(R"({"id": 2, "kind": "stats"})"));
+    parse_ok(service.serve(compile_line(seed)).to_line());
+  const auto reply = parse_ok(service.serve(R"({"id": 2, "kind": "stats"})").to_line());
   const JsonValue* stats = reply.find("stats");
   ASSERT_NE(stats, nullptr);
   const JsonValue* lat = stats->find("latency_us");
@@ -223,7 +223,7 @@ TEST(Observability, RequestIdsAreUniqueAndMonotonic) {
   Service service(ServiceConfig{});
   std::set<std::string> ids;
   for (std::uint64_t seed = 50; seed < 55; ++seed) {
-    const auto reply = parse_ok(service.handle_line(compile_line(seed)));
+    const auto reply = parse_ok(service.serve(compile_line(seed)).to_line());
     ASSERT_NE(reply.find("request_id"), nullptr);
     ids.insert(reply.find("request_id")->as_string());
   }
@@ -235,8 +235,8 @@ TEST(Observability, CachedRepeatStillGetsFreshRequestIdAndTransforms) {
   ServiceConfig cfg;
   cfg.cache_dir = cache.path;
   Service service(cfg);
-  const auto first = parse_ok(service.handle_line(compile_line(77)));
-  const auto second = parse_ok(service.handle_line(compile_line(77)));
+  const auto first = parse_ok(service.serve(compile_line(77)).to_line());
+  const auto second = parse_ok(service.serve(compile_line(77)).to_line());
   ASSERT_TRUE(second.find("ok")->as_bool());
   EXPECT_TRUE(second.find("cached")->as_bool());
   // v2 cache payloads round-trip the transformation counters.

@@ -1,6 +1,6 @@
 // Concurrent profile accumulation: many threads drive profiled and
-// unprofiled compile requests over a shared cell set through both service
-// entry points while readers poll the `profile` verb, then the daemon-wide
+// unprofiled compile requests over a shared cell set through serve() while
+// readers poll the `profile` verb, then the daemon-wide
 // accumulators are compared EXACTLY against a single-threaded local
 // recompute of every distinct cell.  Works because execution is
 // exactly-once per cell key (coalescing + result cache), the simulator is
@@ -129,15 +129,15 @@ TEST(ProfileConcurrency, AccumulatorsMatchLocalRecomputeExactly) {
   cfg.queue_limit = 256;
   Service service(cfg);
 
-  // 8 writers x every cell, half asking for the profile payload, entry
-  // point alternating between the pool path and the direct path; one reader
-  // polls the `profile` verb throughout (it must always parse and conserve).
+  // 8 writers x every cell, half asking for the profile payload, each cell
+  // executing inline on whichever writer admits it first; one reader polls
+  // the `profile` verb throughout (it must always parse and conserve).
   constexpr int kThreads = 8;
   std::atomic<bool> done{false};
   std::thread reader([&] {
     while (!done.load(std::memory_order_acquire)) {
       const std::string line =
-          service.handle_line("{\"id\": 0, \"kind\": \"profile\"}");
+          service.serve("{\"id\": 0, \"kind\": \"profile\"}").to_line();
       const JsonValue v = parse_line(line);
       ASSERT_TRUE(v.find("ok")->as_bool());
       const JsonValue* p = v.find("profile");
@@ -159,9 +159,7 @@ TEST(ProfileConcurrency, AccumulatorsMatchLocalRecomputeExactly) {
         const bool profiled = (t + static_cast<int>(i)) % 2 == 0;
         const std::string line =
             compile_line(cells[idx], profiled, t * 1000 + static_cast<int>(i));
-        const std::string resp = (t % 2 == 0)
-                                     ? service.handle_line(line)
-                                     : service.serve(line).to_line();
+        const std::string resp = service.serve(line).to_line();
         const JsonValue v = parse_line(resp);
         ASSERT_TRUE(v.find("ok")->as_bool()) << resp;
         const JsonValue* prof = v.find("profile");
@@ -180,7 +178,7 @@ TEST(ProfileConcurrency, AccumulatorsMatchLocalRecomputeExactly) {
   // Exactly-once execution per cell key makes the daemon totals equal the
   // local recompute, independent of interleaving.
   const JsonValue v =
-      parse_line(service.handle_line("{\"id\": 1, \"kind\": \"profile\"}"));
+      parse_line(service.serve("{\"id\": 1, \"kind\": \"profile\"}").to_line());
   const JsonValue* p = v.find("profile");
   ASSERT_NE(p, nullptr);
   EXPECT_EQ(p->find("cells")->as_int(), static_cast<std::int64_t>(cells.size()));

@@ -51,7 +51,7 @@ ServiceConfig config(int workers) {
 
 TEST(TuneVerb, AutotuneReturnsBestNoWorseThanLev4) {
   Service service(config(4));
-  const JsonValue v = parse_ok(service.handle_line(autotune_line("APS-1")));
+  const JsonValue v = parse_ok(service.serve(autotune_line("APS-1")).to_line());
   ASSERT_TRUE(v.find("ok") != nullptr && v.find("ok")->as_bool()) << error_kind_of(v);
   EXPECT_EQ(v.find("kind")->as_string(), "autotune");
   EXPECT_FALSE(v.find("cached")->as_bool());
@@ -74,9 +74,9 @@ TEST(TuneVerb, AutotuneReturnsBestNoWorseThanLev4) {
 TEST(TuneVerb, RepeatSearchReplaysWholeResultFromCache) {
   Service service(config(4));
   const std::string line = autotune_line("SRS-1");
-  const JsonValue cold = parse_ok(service.handle_line(line));
+  const JsonValue cold = parse_ok(service.serve(line).to_line());
   ASSERT_TRUE(cold.find("ok")->as_bool());
-  const JsonValue warm = parse_ok(service.handle_line(line));
+  const JsonValue warm = parse_ok(service.serve(line).to_line());
   ASSERT_TRUE(warm.find("ok")->as_bool());
   EXPECT_TRUE(warm.find("cached")->as_bool());
   // The replay is the stored search verbatim: same winner, same counts.
@@ -105,7 +105,7 @@ TEST(TuneVerb, MalformedRequestsAreBadRequests) {
       R"({"kind": "autotune", "workload": "APS-1", "max_sims": 0})",
   };
   for (const char* line : bad) {
-    const JsonValue v = parse_ok(service.handle_line(line));
+    const JsonValue v = parse_ok(service.serve(line).to_line());
     EXPECT_FALSE(v.find("ok")->as_bool()) << line;
     EXPECT_EQ(error_kind_of(v), "bad_request") << line;
   }
@@ -116,9 +116,9 @@ TEST(TuneVerb, DeadlineStopsSearchWithBestSoFarNotError) {
   // 1 ms cannot cover the seed round, so the search stops at the first
   // cancellation poll — and still answers with the seeds' best.
   const JsonValue v =
-      parse_ok(service.handle_line(autotune_line("APS-1", /*rounds=*/4,
-                                                 /*deadline_ms=*/1,
-                                                 /*max_sims=*/48)));
+      parse_ok(service.serve(autotune_line("APS-1", /*rounds=*/4,
+                                           /*deadline_ms=*/1, /*max_sims=*/48))
+                   .to_line());
   ASSERT_TRUE(v.find("ok")->as_bool()) << error_kind_of(v);
   const JsonValue* r = v.find("result");
   ASSERT_NE(r, nullptr);
@@ -129,13 +129,13 @@ TEST(TuneVerb, DeadlineStopsSearchWithBestSoFarNotError) {
   // A truncated search must not poison the whole-result cache: the same
   // search with a generous deadline runs fresh and completes...
   const JsonValue full =
-      parse_ok(service.handle_line(autotune_line("APS-1", /*rounds=*/4)));
+      parse_ok(service.serve(autotune_line("APS-1", /*rounds=*/4)).to_line());
   ASSERT_TRUE(full.find("ok")->as_bool());
   EXPECT_FALSE(full.find("cached")->as_bool());
   EXPECT_FALSE(full.find("result")->find("stopped_early")->as_bool());
   // ...and only the complete run is what later requests replay.
   const JsonValue warm =
-      parse_ok(service.handle_line(autotune_line("APS-1", /*rounds=*/4)));
+      parse_ok(service.serve(autotune_line("APS-1", /*rounds=*/4)).to_line());
   EXPECT_TRUE(warm.find("cached")->as_bool());
   EXPECT_FALSE(warm.find("result")->find("stopped_early")->as_bool());
 }
@@ -143,7 +143,7 @@ TEST(TuneVerb, DeadlineStopsSearchWithBestSoFarNotError) {
 TEST(TuneVerb, DrainRefusesNewSearches) {
   Service service(config(2));
   service.begin_drain();
-  const JsonValue v = parse_ok(service.handle_line(autotune_line("APS-1")));
+  const JsonValue v = parse_ok(service.serve(autotune_line("APS-1")).to_line());
   EXPECT_FALSE(v.find("ok")->as_bool());
   EXPECT_EQ(error_kind_of(v), "shutting_down");
 }
@@ -152,7 +152,7 @@ TEST(TuneVerb, JobLimitRejectsSearchesAsOverloaded) {
   ServiceConfig cfg = config(2);
   cfg.tune_job_limit = 0;
   Service service(cfg);
-  const JsonValue v = parse_ok(service.handle_line(autotune_line("APS-1")));
+  const JsonValue v = parse_ok(service.serve(autotune_line("APS-1")).to_line());
   EXPECT_FALSE(v.find("ok")->as_bool());
   EXPECT_EQ(error_kind_of(v), "overloaded");
 }
@@ -162,11 +162,11 @@ TEST(TuneVerb, StatsAndMetricsCarryTuneFamilies) {
   // The exposition carries the tune histograms from boot, before any search.
   EXPECT_NE(service.metrics_exposition().find("tune_phase_search_seconds"),
             std::string::npos);
-  ASSERT_TRUE(parse_ok(service.handle_line(autotune_line("APS-1")))
+  ASSERT_TRUE(parse_ok(service.serve(autotune_line("APS-1")).to_line())
                   .find("ok")
                   ->as_bool());
 
-  const JsonValue stats = parse_ok(service.handle_line(R"({"kind": "stats"})"));
+  const JsonValue stats = parse_ok(service.serve(R"({"kind": "stats"})").to_line());
   const JsonValue* tune = stats.find("stats")->find("tune");
   ASSERT_NE(tune, nullptr);
   EXPECT_GE(tune->find("requests")->as_int(), 1);
@@ -197,7 +197,7 @@ TEST(TuneVerb, ConcurrentIdenticalSearchesAgree) {
     for (int i = 0; i < kThreads; ++i)
       threads.emplace_back([&service, &replies, i] {
         replies[static_cast<std::size_t>(i)] =
-            service.handle_line(autotune_line("TFS-1"));
+            service.serve(autotune_line("TFS-1")).to_line();
       });
     for (std::thread& t : threads) t.join();
   }
@@ -224,7 +224,7 @@ TEST(TuneVerb, ConcurrentAutotuneAndCompileTraffic) {
   for (const char* w : workloads)
     threads.emplace_back([&service, &failures, w] {
       std::string err;
-      const auto v = JsonValue::parse(service.handle_line(autotune_line(w)), &err);
+      const auto v = JsonValue::parse(service.serve(autotune_line(w)).to_line(), &err);
       if (!v || v->find("ok") == nullptr || !v->find("ok")->as_bool())
         failures.fetch_add(1);
     });
@@ -235,7 +235,7 @@ TEST(TuneVerb, ConcurrentAutotuneAndCompileTraffic) {
             R"({"kind": "compile", "workload": "%s", "level": "%s"})", w, level);
         for (int i = 0; i < 3; ++i) {
           std::string err;
-          const auto v = JsonValue::parse(service.handle_line(line), &err);
+          const auto v = JsonValue::parse(service.serve(line).to_line(), &err);
           if (!v || v->find("ok") == nullptr || !v->find("ok")->as_bool())
             failures.fetch_add(1);
         }
