@@ -9,8 +9,10 @@
 // crash smoke without asserting timings.
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <cstddef>
 #include <cstdint>
+#include <vector>
 
 #include "alloc_hook.hpp"
 #include "analysis/cfg.hpp"
@@ -36,6 +38,7 @@
 #include "trans/strengthred.hpp"
 #include "trans/treeheight.hpp"
 #include "trans/unroll.hpp"
+#include "workloads/suite.hpp"
 
 namespace {
 
@@ -273,6 +276,57 @@ void BM_HotPathSimulateLev4Issue8(benchmark::State& state) {
       static_cast<double>(instructions), benchmark::Counter::kIsRate);
 }
 BENCHMARK(BM_HotPathSimulateLev4Issue8);
+
+// Study-shaped simulation: the 800 cells of the paper's study (every
+// workload x Lev0-4 x issue 1/2/4/8), compiled once in the fixture; each
+// iteration simulates all of them through try_simulate_cycles, the call
+// run_study makes per cell.  Unlike the single-cell benchmarks above, the
+// per-run set-up (decoding, seeding the arrays, the register file) weighs in
+// here as it does in the study.  allocs/cell is exact, so CI asserts a
+// budget on it.
+struct StudyCellsFixture {
+  struct Cell {
+    Function fn{"x"};
+    MachineModel machine;
+  };
+  std::vector<Cell> cells;
+  std::uint64_t instructions = 0;  // simulated per pass over every cell
+
+  StudyCellsFixture() {
+    for (const Workload& w : workload_suite())
+      for (OptLevel level : kLevels)
+        for (int width : kIssueWidths) {
+          Cell c;
+          c.machine = MachineModel::issue(width);
+          c.fn = compile_workload(w, level, c.machine).fn;
+          instructions += run_seeded(c.fn, c.machine).result.instructions;
+          cells.push_back(std::move(c));
+        }
+  }
+};
+
+void BM_HotPathSimulateStudyCells(benchmark::State& state) {
+  static const StudyCellsFixture f;
+  std::uint64_t instructions = 0;
+  std::uint64_t allocs = 0;
+  std::uint64_t cells = 0;
+  for (auto _ : state) {
+    const allochook::Snapshot before = allochook::snapshot();
+    for (const StudyCellsFixture::Cell& c : f.cells) {
+      const Expected<std::uint64_t> cycles = try_simulate_cycles(c.fn, c.machine);
+      if (!cycles) state.SkipWithError(cycles.error_message().c_str());
+      benchmark::DoNotOptimize(cycles);
+    }
+    allocs += allochook::delta(before, allochook::snapshot()).count;
+    instructions += f.instructions;
+    cells += f.cells.size();
+  }
+  state.counters["instrs/s"] = benchmark::Counter(
+      static_cast<double>(instructions), benchmark::Counter::kIsRate);
+  state.counters["allocs/cell"] =
+      static_cast<double>(allocs) / static_cast<double>(std::max<std::uint64_t>(cells, 1));
+}
+BENCHMARK(BM_HotPathSimulateStudyCells)->Unit(benchmark::kMillisecond);
 
 // ---- Compile-pipeline allocation benchmarks -------------------------------
 // The full pass pipeline (conventional opts through scheduling, no

@@ -16,6 +16,12 @@
 //   * A load from address a stalls until the latest store to a completes
 //     (store latency 1 ⇒ the following cycle).
 //
+// run() first lowers the Function into a flat decoded program — ops in
+// layout order with empty blocks folded away, branch targets as op indices,
+// latencies resolved, and one register index (ints, then fps, then constant
+// slots for immediates) — and then executes that.  Stores in flight sit in a
+// FIFO of (address, completion cycle) that loads search newest-first.
+//
 // This model reproduces every issue-time (IT) table in the paper's Figures
 // 1, 3, 5, 6 and 7 exactly (see tests/sim/figures_test.cpp).
 #pragma once
@@ -96,10 +102,13 @@ class Simulator {
   [[nodiscard]] SimResult run(const Function& fn, Memory& mem) const;
 
  private:
-  // kProfile selects the cycle-accounting instrumentation at compile time;
-  // run() dispatches on options_.profile.
+  struct Program;  // `fn` lowered for execution (simulator.cpp)
+
+  // The one run loop, over the decoded program.  kProfile selects the
+  // cycle-accounting instrumentation at compile time; run() dispatches on
+  // options_.profile.
   template <bool kProfile>
-  [[nodiscard]] SimResult run_impl(const Function& fn, Memory& mem) const;
+  [[nodiscard]] SimResult run_impl(Program& prog, const Function& fn, Memory& mem) const;
 
   MachineModel machine_;
   SimOptions options_;
@@ -108,7 +117,8 @@ class Simulator {
 // Deterministically fills every array of `fn` with pseudo-random data (seeded
 // by array name) so all transformation levels of the same source loop observe
 // identical inputs.  Int arrays get small positive ints; fp arrays get values
-// in (0, 2).
+// in (0, 2).  On an empty memory whose arrays are packed, it first maps the
+// memory's dense window over their address span (sim/memory.hpp).
 void seed_arrays(const Function& fn, Memory& mem, std::uint64_t seed = 0x9e3779b97f4a7c15ull);
 
 // Convenience for differential tests: runs and returns (result, memory).

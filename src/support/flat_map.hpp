@@ -1,7 +1,7 @@
 // Open-addressed hash map from int64 keys to uint64 values, used on the hot
 // paths that a node-based std::unordered_map dominates: the simulator's data
-// memory and memory-readiness table (address -> cycle), and the dependence
-// graph's duplicate-edge index ((from,to) -> edge id).
+// memory outside its dense array window, and the dependence graph's
+// duplicate-edge index ((from,to) -> edge id).
 //
 // Compared with std::unordered_map this avoids one heap allocation per entry
 // and the pointer chase per probe: the table is a single flat array of

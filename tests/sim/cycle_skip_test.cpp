@@ -2,8 +2,8 @@
 // (SimOptions::skip_stall_cycles): skipping straight to the blocking
 // operand's ready cycle must leave every observable — cycles, instructions,
 // branches, stall_cycles, the issue trace, final memory and registers —
-// identical to per-cycle evaluation.  Also regression-tests the flat
-// mem_ready table (support/flat_map.hpp) against aliasing and growth.
+// identical to per-cycle evaluation.  Also regression-tests the simulator's
+// store forwarding against aliasing stores and many distinct addresses.
 #include <gtest/gtest.h>
 
 #include <vector>
@@ -69,8 +69,7 @@ TEST(CycleSkip, EquivalentAcrossWorkloads) {
 }
 
 // Two stores to the same address: the load must wait for the *latest* store's
-// completion, i.e. the mem_ready entry must be overwritten, not kept at its
-// first value.  Uses a long store latency so a wrong answer visibly changes
+// completion, i.e. the newest in-flight entry for the address, not the first.  Uses a long store latency so a wrong answer visibly changes
 // the cycle count.
 TEST(CycleSkip, LoadWaitsForLatestAliasingStore) {
   Function fn("alias");
@@ -82,7 +81,7 @@ TEST(CycleSkip, LoadWaitsForLatestAliasingStore) {
   const Reg v1 = b.ldi(7);
   const Reg v2 = b.ldi(9);
   b.st(idx, fn.array(A)->base, v1, A);
-  b.st(idx, fn.array(A)->base, v2, A);  // overwrites the mem_ready entry
+  b.st(idx, fn.array(A)->base, v2, A);  // the newer in-flight store to A[0]
   const Reg got = b.ld(idx, fn.array(A)->base, A);
   fn.add_live_out(got);
   b.ret();
@@ -104,9 +103,10 @@ TEST(CycleSkip, LoadWaitsForLatestAliasingStore) {
   EXPECT_EQ(on.out.result.regs.get_int(got.id), 9);
 }
 
-// Stores to many distinct addresses force the flat mem_ready table through
-// several growth rehashes mid-run; the loads that follow must still observe
-// the right per-address ready cycles and values.
+// Stores to many distinct addresses (8-byte stride, so half the memory
+// window's slots stay unwritten) stream through the store queue; the loads
+// that follow must still observe the right per-address ready cycles and
+// values.
 TEST(CycleSkip, ManyDistinctAddressesSurviveTableGrowth) {
   constexpr std::int64_t kN = 1000;
   Function fn("growth");
