@@ -1,5 +1,8 @@
 #include "harness/experiment.hpp"
 
+#include <algorithm>
+#include <array>
+#include <atomic>
 #include <cinttypes>
 #include <cstdio>
 #include <exception>
@@ -18,25 +21,99 @@
 
 namespace ilp {
 
+namespace {
+
+// A pipeline stage of `level` threw: the cell fails with this text.
+Error stage_error(const std::string& name, OptLevel level, const char* what) {
+  return Error{strformat("workload '%s' failed at %s: %s", name.c_str(), level_name(level),
+                         what)};
+}
+
+}  // namespace
+
+Expected<LoopPlan> LoopPlan::build(const Workload& w, const CompileOptions& opts) {
+  LoopPlan plan;
+  plan.name_ = w.name;
+  plan.opts_ = opts;
+  {
+    engine::ScopedTimer timer("pass.frontend");
+    DiagnosticEngine diags;
+    auto r = dsl::compile(w.source, diags);
+    if (!r)
+      return Error{strformat("workload '%s' failed to compile: %s", w.name.c_str(),
+                             diags.to_string().c_str())};
+    plan.fn_ = std::move(r->fn);
+  }
+  CompileContext& ctx = CompileContext::local();
+  ctx.begin_compile();
+  try {
+    compile_prefix(plan.fn_, opts, plan.stats_, ctx);
+  } catch (const std::exception& e) {
+    plan.error_ = e.what();
+  }
+  return plan;
+}
+
+Expected<LevelPlan> LoopPlan::level(OptLevel level) const& { return fork(level, fn_); }
+
+Expected<LevelPlan> LoopPlan::level(OptLevel level) && {
+  return fork(level, std::move(fn_));
+}
+
+Expected<LevelPlan> LoopPlan::fork(OptLevel level, Function fn) const {
+  if (error_) return stage_error(name_, level, error_->c_str());
+  LevelPlan out;
+  out.name_ = name_;
+  out.level_ = level;
+  out.opts_ = opts_;
+  out.fn_ = std::move(fn);
+  out.stats_ = stats_;
+  try {
+    compile_level(out.fn_, TransformSet::for_level(level), opts_, out.stats_,
+                  CompileContext::local());
+  } catch (const std::exception& e) {
+    return stage_error(name_, level, e.what());
+  }
+  return out;
+}
+
+Expected<CompiledLoop> LevelPlan::compile(const MachineModel& m,
+                                          TransformStats* stats) const& {
+  return backend(m, stats, fn_);
+}
+
+Expected<CompiledLoop> LevelPlan::compile(const MachineModel& m, TransformStats* stats) && {
+  return backend(m, stats, std::move(fn_));
+}
+
+Expected<CompiledLoop> LevelPlan::backend(const MachineModel& m, TransformStats* stats,
+                                          Function fn) const {
+  TransformStats s = stats_;
+  try {
+    compile_backend(fn, TransformSet::for_level(level_), m, opts_, s,
+                    CompileContext::local());
+  } catch (const std::exception& e) {
+    return stage_error(name_, level_, e.what());
+  }
+  if (stats != nullptr) *stats = s;
+  CompiledLoop out;
+  out.fn = std::move(fn);
+  {
+    engine::ScopedTimer timer("pass.regalloc");
+    out.regs = measure_register_usage(out.fn);
+  }
+  return out;
+}
+
 Expected<CompiledLoop> try_compile_workload(const Workload& w, OptLevel level,
                                             const MachineModel& m,
                                             const CompileOptions& opts,
                                             TransformStats* stats) {
-  DiagnosticEngine diags;
-  auto r = dsl::compile(w.source, diags);
-  if (!r)
-    return Error{strformat("workload '%s' failed to compile: %s", w.name.c_str(),
-                           diags.to_string().c_str())};
-  try {
-    compile_with_transforms(r->fn, TransformSet::for_level(level), m, opts, stats);
-  } catch (const std::exception& e) {
-    return Error{strformat("workload '%s' failed at %s: %s", w.name.c_str(),
-                           level_name(level), e.what())};
-  }
-  CompiledLoop out;
-  out.fn = std::move(r->fn);
-  out.regs = measure_register_usage(out.fn);
-  return out;
+  auto plan = LoopPlan::build(w, opts);
+  if (!plan) return Error{plan.error_message()};
+  auto lv = std::move(*plan).level(level);
+  if (!lv) return Error{lv.error_message()};
+  return std::move(*lv).compile(m, stats);
 }
 
 Expected<std::uint64_t> try_simulate_cycles(const Function& fn, const MachineModel& m) {
@@ -110,10 +187,95 @@ bool decode_cell(const std::string& payload, CellResult& out) {
   return false;  // unknown schema (stale disk entry): treat as miss
 }
 
-CellResult compute_cell(const Workload& w, OptLevel level, const MachineModel& m,
-                        const CompileOptions& opts) {
+constexpr std::size_t kCellsPerLoop = kLevels.size() * kIssueWidths.size();
+
+// One loop's cells and the plan its jobs share.  The prefix job fills the
+// cache hits and builds the plan; each level job then computes that level's
+// missed cells, writing only its own slots.
+struct LoopCells {
+  std::array<CellResult, kCellsPerLoop> cells{};
+  std::array<std::uint64_t, kCellsPerLoop> keys{};
+  std::array<bool, kCellsPerLoop> missed{};
+  std::unique_ptr<LoopPlan> plan;  // set when some cell missed and the frontend ran
+  // Level jobs that have not yet forked the plan; the last one frees it.
+  std::atomic<int> levels_left{0};
+
+  [[nodiscard]] bool level_missed(std::size_t li) const {
+    for (std::size_t wi = 0; wi < kIssueWidths.size(); ++wi)
+      if (missed[li * kIssueWidths.size() + wi]) return true;
+    return false;
+  }
+  // The levels that need a level job, once the prefix job has run; arms
+  // levels_left with their number.
+  [[nodiscard]] std::vector<std::size_t> level_jobs() {
+    std::vector<std::size_t> out;
+    if (!plan) return out;
+    for (std::size_t li = 0; li < kLevels.size(); ++li)
+      if (level_missed(li)) out.push_back(li);
+    levels_left.store(static_cast<int>(out.size()));
+    return out;
+  }
+};
+
+// Fails every missed cell in [first, last) with `error`; a compile error is
+// deterministic, so it is cached like any computed cell.
+void fail_missed(LoopCells& lc, std::size_t first, std::size_t last,
+                 const std::string& error, engine::ResultCache* cache) {
+  for (std::size_t i = first; i < last; ++i) {
+    if (!lc.missed[i]) continue;
+    lc.cells[i] = CellResult{};
+    lc.cells[i].error = error;
+    if (cache != nullptr) cache->store(lc.keys[i], encode_cell(lc.cells[i]));
+  }
+}
+
+// A job that escapes with an exception fails the cells it was computing,
+// which are never cached.
+void fail_threw(LoopCells& lc, std::size_t first, std::size_t last,
+                const std::exception& e) {
+  fail_missed(lc, first, last, strformat("study job threw: %s", e.what()), nullptr);
+}
+
+// Prefix job: looks up every cell of the loop, then runs the frontend and
+// Conv only if one of them missed.
+void run_prefix_job(const Workload& w, const CompileOptions& copts,
+                    engine::ResultCache* cache, LoopCells& lc) {
+  engine::TraceScope trace(w.name, "plan");
+  engine::ScopedTimer timer("study.job");
+  lc.missed.fill(true);
+  try {
+    if (cache != nullptr) {
+      for (std::size_t li = 0; li < kLevels.size(); ++li)
+        for (std::size_t wi = 0; wi < kIssueWidths.size(); ++wi) {
+          const std::size_t i = li * kIssueWidths.size() + wi;
+          lc.keys[i] = study_cell_key(w, kLevels[li], MachineModel::issue(kIssueWidths[wi]),
+                                      copts);
+          if (auto payload = cache->lookup(lc.keys[i])) {
+            if (decode_cell(*payload, lc.cells[i])) {
+              lc.missed[i] = false;
+              continue;
+            }
+            cache->invalidate(lc.keys[i]);  // stale/corrupted entry: recompute, rewrite
+          }
+        }
+    }
+    if (std::find(lc.missed.begin(), lc.missed.end(), true) == lc.missed.end()) return;
+    auto plan = LoopPlan::build(w, copts);
+    if (plan)
+      lc.plan = std::make_unique<LoopPlan>(std::move(*plan));
+    else
+      fail_missed(lc, 0, kCellsPerLoop, plan.error_message(), cache);
+  } catch (const std::exception& e) {
+    lc.plan.reset();
+    fail_threw(lc, 0, kCellsPerLoop, e);
+  }
+}
+
+// Schedules, measures and simulates one cell of a level.
+CellResult run_leaf(const Workload& w, const LevelPlan& lv, OptLevel level,
+                    const MachineModel& m) {
   CellResult c;
-  auto compiled = try_compile_workload(w, level, m, opts);
+  auto compiled = lv.compile(m);
   if (!compiled) {
     c.error = compiled.error_message();
     return c;
@@ -129,24 +291,36 @@ CellResult compute_cell(const Workload& w, OptLevel level, const MachineModel& m
   return c;
 }
 
-CellResult run_cell(const Workload& w, OptLevel level, int width,
-                    const CompileOptions& copts, engine::ResultCache* cache) {
-  const MachineModel m = MachineModel::issue(width);
-  engine::TraceScope trace(
-      strformat("%s/%s/w%d", w.name.c_str(), level_name(level), width), "cell");
-  std::uint64_t key = 0;
-  if (cache != nullptr) {
-    key = study_cell_key(w, level, m, copts);
-    if (auto payload = cache->lookup(key)) {
-      CellResult c;
-      if (decode_cell(*payload, c)) return c;
-      cache->invalidate(key);  // stale/corrupted entry: recompute and rewrite
+// Level job: the level's transformations once, then one leaf per missed width.
+void run_level_job(const Workload& w, std::size_t li, engine::ResultCache* cache,
+                   LoopCells& lc) {
+  const OptLevel level = kLevels[li];
+  const std::size_t first = li * kIssueWidths.size();
+  engine::TraceScope trace(strformat("%s/%s", w.name.c_str(), level_name(level)), "plan");
+  engine::ScopedTimer timer("study.job");
+  try {
+    const auto lv = lc.plan->level(level);
+    if (lc.levels_left.fetch_sub(1) == 1) lc.plan.reset();
+    if (!lv) {
+      fail_missed(lc, first, first + kIssueWidths.size(), lv.error_message(), cache);
+      return;
     }
+    for (std::size_t wi = 0; wi < kIssueWidths.size(); ++wi) {
+      const std::size_t i = first + wi;
+      if (!lc.missed[i]) continue;
+      const int width = kIssueWidths[wi];
+      engine::TraceScope cell(
+          strformat("%s/%s/w%d", w.name.c_str(), level_name(level), width), "cell");
+      try {
+        lc.cells[i] = run_leaf(w, *lv, level, MachineModel::issue(width));
+        if (cache != nullptr) cache->store(lc.keys[i], encode_cell(lc.cells[i]));
+      } catch (const std::exception& e) {
+        fail_threw(lc, i, i + 1, e);
+      }
+    }
+  } catch (const std::exception& e) {
+    fail_threw(lc, first, first + kIssueWidths.size(), e);
   }
-  engine::ScopedTimer timer("study.cell");
-  CellResult c = compute_cell(w, level, m, copts);
-  if (cache != nullptr) cache->store(key, encode_cell(c));
-  return c;
 }
 
 }  // namespace
@@ -162,11 +336,7 @@ StudyResult run_study(const std::vector<Workload>& workloads, const StudyOptions
   }
   const engine::CacheStats cache_before = cache ? cache->stats() : engine::CacheStats{};
 
-  constexpr std::size_t kCellsPerLoop = kLevels.size() * kIssueWidths.size();
-  std::vector<CellResult> cells(workloads.size() * kCellsPerLoop);
-  auto cell_index = [&](std::size_t loop_i, std::size_t li, std::size_t wi) {
-    return loop_i * kCellsPerLoop + li * kIssueWidths.size() + wi;
-  };
+  std::vector<LoopCells> loops(workloads.size());
 
   int jobs = opts.jobs;
   if (jobs <= 0) jobs = static_cast<int>(std::thread::hardware_concurrency());
@@ -176,36 +346,38 @@ StudyResult run_study(const std::vector<Workload>& workloads, const StudyOptions
   res.stats.jobs = jobs;
 
   if (jobs == 1) {
-    for (std::size_t loop_i = 0; loop_i < workloads.size(); ++loop_i)
-      for (std::size_t li = 0; li < kLevels.size(); ++li)
-        for (std::size_t wi = 0; wi < kIssueWidths.size(); ++wi)
-          cells[cell_index(loop_i, li, wi)] =
-              run_cell(workloads[loop_i], kLevels[li], kIssueWidths[wi], opts.compile,
-                       cache);
-  } else {
-    engine::ThreadPool pool(static_cast<unsigned>(jobs));
-    std::vector<std::future<CellResult>> futures;
-    futures.reserve(cells.size());
-    for (std::size_t loop_i = 0; loop_i < workloads.size(); ++loop_i)
-      for (std::size_t li = 0; li < kLevels.size(); ++li)
-        for (std::size_t wi = 0; wi < kIssueWidths.size(); ++wi) {
-          const Workload& w = workloads[loop_i];
-          const OptLevel level = kLevels[li];
-          const int width = kIssueWidths[wi];
-          futures.push_back(pool.submit([&w, level, width, &opts, cache] {
-            return run_cell(w, level, width, opts.compile, cache);
-          }));
-        }
-    // Collect by submission index — never by completion order — so parallel
-    // aggregation is byte-identical to serial.  A job that escaped with an
-    // exception fails its cell only.
-    for (std::size_t i = 0; i < futures.size(); ++i) {
-      try {
-        cells[i] = futures[i].get();
-      } catch (const std::exception& e) {
-        cells[i].error = strformat("study job threw: %s", e.what());
-      }
+    for (std::size_t loop_i = 0; loop_i < workloads.size(); ++loop_i) {
+      LoopCells& lc = loops[loop_i];
+      run_prefix_job(workloads[loop_i], opts.compile, cache, lc);
+      for (const std::size_t li : lc.level_jobs())
+        run_level_job(workloads[loop_i], li, cache, lc);
     }
+  } else {
+    // Prefix jobs run at most `jobs` loops ahead: once loop i's prefix is
+    // done, its level jobs are queued behind the prefixes already in flight,
+    // followed by the next loop's prefix.  So only a few plans are alive at
+    // a time.  Jobs write only their own loop's (or level's) slots, and
+    // results are read by cell index — never by completion order — so
+    // parallel aggregation is byte-identical to serial.
+    engine::ThreadPool pool(static_cast<unsigned>(jobs));
+    std::vector<std::future<void>> prefixes(workloads.size());
+    std::vector<std::future<void>> levels;
+    levels.reserve(workloads.size() * kLevels.size());
+    std::size_t next = 0;
+    const auto submit_prefix = [&] {
+      prefixes[next] = pool.submit([&w = workloads[next], &lc = loops[next], &opts,
+                                    cache] { run_prefix_job(w, opts.compile, cache, lc); });
+      ++next;
+    };
+    while (next < workloads.size() && next < static_cast<std::size_t>(jobs)) submit_prefix();
+    for (std::size_t loop_i = 0; loop_i < workloads.size(); ++loop_i) {
+      prefixes[loop_i].get();
+      for (const std::size_t li : loops[loop_i].level_jobs())
+        levels.push_back(pool.submit([&w = workloads[loop_i], li, &lc = loops[loop_i],
+                                      cache] { run_level_job(w, li, cache, lc); }));
+      if (next < workloads.size()) submit_prefix();
+    }
+    for (auto& f : levels) f.get();
     res.stats.peak_queue_depth = pool.peak_queue_depth();
   }
 
@@ -218,7 +390,7 @@ StudyResult run_study(const std::vector<Workload>& workloads, const StudyOptions
     ls.conds = w.conds;
     for (std::size_t li = 0; li < kLevels.size(); ++li) {
       for (std::size_t wi = 0; wi < kIssueWidths.size(); ++wi) {
-        const CellResult& c = cells[cell_index(loop_i, li, wi)];
+        const CellResult& c = loops[loop_i].cells[li * kIssueWidths.size() + wi];
         if (!c.error.empty()) {
           ++res.stats.failed_cells;
           if (ls.error.empty()) ls.error = c.error;
@@ -239,7 +411,7 @@ StudyResult run_study(const std::vector<Workload>& workloads, const StudyOptions
     res.loops.push_back(std::move(ls));
   }
 
-  res.stats.cells = cells.size();
+  res.stats.cells = loops.size() * kCellsPerLoop;
   if (cache != nullptr) {
     const engine::CacheStats after = cache->stats();
     res.stats.cache_hits = after.hits - cache_before.hits;
@@ -247,7 +419,7 @@ StudyResult run_study(const std::vector<Workload>& workloads, const StudyOptions
     res.stats.cache_misses = after.misses - cache_before.misses;
     res.stats.cache_invalid = after.invalid - cache_before.invalid;
   } else {
-    res.stats.cache_misses = cells.size();
+    res.stats.cache_misses = res.stats.cells;
   }
   res.stats.wall_seconds = wall.seconds();
   return res;

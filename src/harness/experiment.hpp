@@ -11,17 +11,35 @@
 // speedup calculations is an issue-1 processor with conventional compiler
 // transformations"), so super-linear speedups can occur.
 //
-// The sweep is embarrassingly parallel (800 independent cells for the full
-// suite) and runs through the experiment engine (src/engine/): a thread pool
-// executes the cells (`StudyOptions::jobs`), a content-addressed cache
-// memoizes them across runs and processes (`StudyOptions::cache_dir`), and
-// the telemetry layer records per-pass and per-cell wall times.  Results are
-// aggregated by cell index, so parallel output — including the serialized
-// JSON — is byte-identical to a serial run.
+// The 800 cells of the full suite share most of their compile work: Conv is
+// the common prefix of all five levels, and only the backend (modulo and list
+// scheduling) reads the machine.  So the study runs one cell plan per loop, a
+// tree that forks where the inputs do:
+//
+//   source -> frontend + nest pre-passes + Conv          once per loop
+//     -> copy, level transformations + cleanup           once per (loop, level)
+//       -> copy, schedule + renumber, registers, simulate once per cell
+//
+// (LoopPlan / LevelPlan below; trans/level.hpp has the three stages.)  Every
+// leaf is identical to a fresh try_compile_workload of its cell, which is the
+// same tree with one level and one width, moved instead of copied.
+//
+// The plans run through the experiment engine (src/engine/): a thread pool
+// (`StudyOptions::jobs`) executes one prefix job per loop, then one job per
+// (loop, level) that runs the level once and its four width leaves; prefix
+// jobs run at most `jobs` loops ahead of the level jobs, so only a few plans
+// are alive at once.  A content-addressed cache memoizes single cells across
+// runs and processes (`StudyOptions::cache_dir`); a prefix job looks up all of
+// its loop's cells first, so the frontend runs only for a loop with a missing
+// cell and a level only for a level with one.  The telemetry layer records
+// per-pass and per-job wall times.  Results are aggregated by cell index, so
+// parallel output — including the serialized JSON — is byte-identical to a
+// serial run.
 #pragma once
 
 #include <array>
 #include <cstdint>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -132,10 +150,62 @@ struct CompiledLoop {
   RegUsage regs;
 };
 
+class LevelPlan;
+
+// The shared prefix of one workload's cells: frontend, nest pre-passes and
+// the conventional optimizations, run once.  Errors carry the same text as
+// try_compile_workload's: build() fails when the frontend rejects the source,
+// level() when a pipeline stage throws (tagged with the level asked for).
+class LoopPlan {
+ public:
+  static Expected<LoopPlan> build(const Workload& w, const CompileOptions& opts = {});
+
+  // Runs `level`'s transformations and cleanup on a copy of the prefix (the
+  // rvalue form moves the prefix instead).
+  [[nodiscard]] Expected<LevelPlan> level(OptLevel level) const&;
+  [[nodiscard]] Expected<LevelPlan> level(OptLevel level) &&;
+
+ private:
+  LoopPlan() = default;
+  Expected<LevelPlan> fork(OptLevel level, Function fn) const;
+
+  std::string name_;
+  CompileOptions opts_;
+  Function fn_{"x"};
+  TransformStats stats_;
+  std::optional<std::string> error_;  // set when the prefix threw
+};
+
+// One (workload, level) of a plan: everything but the machine-dependent
+// backend.
+class LevelPlan {
+ public:
+  // Schedules a copy of the level for `m` and measures its registers (the
+  // rvalue form moves the level instead).  `stats`, when non-null, receives
+  // the compile's transformation counters, as from try_compile_workload.
+  [[nodiscard]] Expected<CompiledLoop> compile(const MachineModel& m,
+                                               TransformStats* stats = nullptr) const&;
+  [[nodiscard]] Expected<CompiledLoop> compile(const MachineModel& m,
+                                               TransformStats* stats = nullptr) &&;
+
+ private:
+  friend class LoopPlan;
+  LevelPlan() = default;
+  Expected<CompiledLoop> backend(const MachineModel& m, TransformStats* stats,
+                                 Function fn) const;
+
+  std::string name_;
+  OptLevel level_ = OptLevel::Conv;
+  CompileOptions opts_;
+  Function fn_{"x"};
+  TransformStats stats_;
+};
+
 // Error-returning paths used by the study so one bad workload fails its
 // cell, not the whole sweep.
 // `stats`, when non-null, receives the per-compile transformation counters
 // (loops unrolled, accumulators expanded, ...; see trans/level.hpp).
+// try_compile_workload is the cell plan of a single cell.
 Expected<CompiledLoop> try_compile_workload(const Workload& w, OptLevel level,
                                             const MachineModel& m,
                                             const CompileOptions& opts = {},

@@ -58,12 +58,9 @@ const char* set_label(const TransformSet& set) {
 
 }  // namespace
 
-void compile_with_transforms(Function& fn, const TransformSet& set,
-                             const MachineModel& machine, const CompileOptions& opts,
-                             TransformStats* stats, CompileContext& ctx) {
-  ctx.begin_compile();
-  TransformStats local;
-  TransformStats& s = stats != nullptr ? *stats : local;
+void compile_prefix(Function& fn, const CompileOptions& opts, TransformStats& s,
+                    CompileContext& ctx) {
+  const Arena::Scope scope(ctx.arena());
   s = TransformStats{};
 
   // Nest restructuring sees the naive lowered IR: explicit affine subscripts
@@ -85,6 +82,13 @@ void compile_with_transforms(Function& fn, const TransformSet& set,
   timed_pass("pass.conventional", fn, "after conventional optimizations",
              [&] { run_conventional_optimizations(fn, ctx); });
   s.ir_insts_before = fn.num_insts();
+}
+
+void compile_level(Function& fn, const TransformSet& set, const CompileOptions& opts,
+                   TransformStats& s, CompileContext& ctx) {
+  const Arena::Scope scope(ctx.arena());
+  s.loops_unrolled = s.regs_renamed = s.accs_expanded = s.inds_expanded = 0;
+  s.searches_expanded = s.ops_combined = s.strength_reduced = s.trees_rebalanced = 0;
 
   if (set.unroll)
     timed_pass("pass.unroll", fn, "after unrolling",
@@ -113,6 +117,14 @@ void compile_with_transforms(Function& fn, const TransformSet& set,
     timed_pass("pass.treeheight", fn, "after tree height reduction",
                [&] { s.trees_rebalanced = tree_height_reduction(fn, {}, ctx); });
   timed_pass("pass.cleanup", fn, "after cleanup", [&] { run_cleanup(fn, ctx); });
+}
+
+void compile_backend(Function& fn, const TransformSet& set, const MachineModel& machine,
+                     const CompileOptions& opts, TransformStats& s,
+                     CompileContext& ctx) {
+  const Arena::Scope scope(ctx.arena());
+  s.modulo = ModuloStats{};
+  s.schedule_ns = 0;
   // The modulo backend pipelines eligible loops into prologue/kernel/epilogue
   // form; the list scheduler below then packs every block (including the new
   // kernels), so both backends share one final scheduling pass.
@@ -188,6 +200,17 @@ void compile_with_transforms(Function& fn, const TransformSet& set,
   if (ctx.compiles() > 1) reg.add_count("ctx.warm_compiles");
   reg.record_max("ctx.arena_high_water_bytes",
                  static_cast<std::uint64_t>(ctx.arena_high_water_bytes()));
+}
+
+void compile_with_transforms(Function& fn, const TransformSet& set,
+                             const MachineModel& machine, const CompileOptions& opts,
+                             TransformStats* stats, CompileContext& ctx) {
+  ctx.begin_compile();
+  TransformStats local;
+  TransformStats& s = stats != nullptr ? *stats : local;
+  compile_prefix(fn, opts, s, ctx);
+  compile_level(fn, set, opts, s, ctx);
+  compile_backend(fn, set, machine, opts, s, ctx);
 }
 
 void compile_with_transforms(Function& fn, const TransformSet& set,

@@ -104,10 +104,38 @@ struct TransformStats {
   }
 };
 
+// The pipeline in three stages, split where its inputs fork: the prefix
+// reads neither the transform set nor the machine, the level stage reads the
+// set but not the machine, and only the backend reads the machine.  A caller
+// that compiles one source for many (level, machine) cells — the study's cell
+// plans (harness/experiment.hpp) — runs the prefix once, the level stage once
+// per set on a copy of the prefix, and the backend once per machine on a copy
+// of the level.  A Function copy keeps uids and register ids, so every such
+// cell is identical to a one-shot compile_with_transforms.
+//
+// Each stage fills its own fields of `stats` (the prefix resets all of them)
+// and scopes its scratch with Arena::Scope, so a plan's arena high-water never
+// exceeds a one-shot compile's.  The backend records the per-compile
+// trans.*/sched.modulo.*/ctx.* counters, once per compiled cell.
+//
+// Prefix: nest restructuring pre-passes and the conventional optimizations
+// (the Conv level); sets the nest counters and ir_insts_before.
+void compile_prefix(Function& fn, const CompileOptions& opts, TransformStats& stats,
+                    CompileContext& ctx);
+// Level: the paper's transformations enabled by `set`, then cleanup.
+void compile_level(Function& fn, const TransformSet& set, const CompileOptions& opts,
+                   TransformStats& stats, CompileContext& ctx);
+// Backend: modulo pipelining and list scheduling for `machine`, renumbering,
+// ir_insts_after and the global counters.
+void compile_backend(Function& fn, const TransformSet& set, const MachineModel& machine,
+                     const CompileOptions& opts, TransformStats& stats,
+                     CompileContext& ctx);
+
 // Explicit-context form: all pass scratch and analysis storage comes from
 // `ctx`, which is reset (arena rewound, not freed) at the start of the
 // compile.  Two sequential compiles on one warm context produce bit-identical
 // output to two fresh contexts — the context only changes where memory lives.
+// Exactly compile_prefix, compile_level and compile_backend in order.
 void compile_with_transforms(Function& fn, const TransformSet& set,
                              const MachineModel& machine, const CompileOptions& opts,
                              TransformStats* stats, CompileContext& ctx);

@@ -1,15 +1,18 @@
 // End-to-end tests of the engine-backed study: parallel runs must be
 // byte-identical to serial ones, warm caches must recall every cell with
-// identical results, and a bad workload must fail its own cells only.
+// identical results, a bad workload must fail its own cells only, and the
+// cell plans must run each shared stage exactly once.
 #include <gtest/gtest.h>
 
 #include <unistd.h>
 
 #include <filesystem>
+#include <map>
 #include <string>
 #include <vector>
 
 #include "engine/cache.hpp"
+#include "engine/metrics.hpp"
 #include "harness/experiment.hpp"
 
 namespace ilp {
@@ -105,6 +108,103 @@ TEST(StudyEngine, BadWorkloadFailsItsCellsNotTheStudy) {
     }
     // Failed cells read as speedup 0, never as aborts.
     EXPECT_DOUBLE_EQ(s.loops[1].speedup(OptLevel::Lev4, 3), 0.0);
+  }
+}
+
+// Count of every global registry entry, for before/after deltas.
+std::map<std::string, std::uint64_t> registry_counts() {
+  std::map<std::string, std::uint64_t> out;
+  for (const auto& [name, stat] : engine::MetricsRegistry::global().snapshot())
+    out[name] = stat.count;
+  return out;
+}
+
+std::uint64_t delta(const std::map<std::string, std::uint64_t>& before,
+                    const std::map<std::string, std::uint64_t>& after,
+                    const std::string& name) {
+  const auto a = after.find(name);
+  const auto b = before.find(name);
+  return (a == after.end() ? 0 : a->second) - (b == before.end() ? 0 : b->second);
+}
+
+TEST(StudyEngine, CellPlansRunEachSharedStageOnce) {
+  const std::vector<Workload> suite = mini_suite();
+  const std::uint64_t n = suite.size();
+  StudyOptions opts;
+  opts.jobs = 1;
+  const auto before = registry_counts();
+  const StudyResult s = run_study(suite, opts);
+  const auto after = registry_counts();
+  ASSERT_EQ(s.stats.failed_cells, 0u);
+
+  EXPECT_EQ(delta(before, after, "pass.frontend"), n);
+  EXPECT_EQ(delta(before, after, "pass.conventional"), n);
+  EXPECT_EQ(delta(before, after, "pass.unroll"), 4 * n);   // Lev1..Lev4
+  EXPECT_EQ(delta(before, after, "pass.rename"), 3 * n);   // Lev2..Lev4
+  EXPECT_EQ(delta(before, after, "pass.cleanup"), 5 * n);  // every level
+  EXPECT_EQ(delta(before, after, "pass.schedule"), 20 * n);
+  EXPECT_EQ(delta(before, after, "pass.regalloc"), 20 * n);
+  EXPECT_EQ(delta(before, after, "pass.simulate"), 20 * n);
+  EXPECT_EQ(delta(before, after, "study.job"), n + 5 * n);  // prefix + level jobs
+
+  // The per-level IR-size counters add up exactly as over one-shot compiles.
+  for (const Workload& w : suite)
+    for (const OptLevel level : kLevels)
+      for (const int width : kIssueWidths)
+        ASSERT_TRUE(try_compile_workload(w, level, MachineModel::issue(width)).has_value());
+  const auto one_shot = registry_counts();
+  for (const char* stage : {"before", "after"})
+    for (const OptLevel level : kLevels) {
+      const std::string name =
+          std::string("trans.ir_insts_") + stage + "." + level_name(level);
+      EXPECT_GT(delta(before, after, name), 0u) << name;
+      EXPECT_EQ(delta(before, after, name), delta(after, one_shot, name)) << name;
+    }
+}
+
+TEST(StudyEngine, PartiallyWarmCacheRunsOnlyTheMissingStages) {
+  const std::vector<Workload> suite = mini_suite();
+  const CompileOptions copts;
+  engine::ResultCache full;
+  StudyOptions cold_opts;
+  cold_opts.cache = &full;
+  const StudyResult cold = run_study(suite, cold_opts);
+
+  // Pre-store one cell of loop 0, every width of loop 1's Lev3 and all of
+  // loop 2; loop 3 starts empty.
+  auto prestore = [&](engine::ResultCache& into) {
+    auto copy_cell = [&](std::size_t loop, std::size_t li, std::size_t wi) {
+      const std::uint64_t key = study_cell_key(
+          suite[loop], kLevels[li], MachineModel::issue(kIssueWidths[wi]), copts);
+      const auto payload = full.lookup(key);
+      ASSERT_TRUE(payload.has_value());
+      into.store(key, *payload);
+    };
+    copy_cell(0, 2, 2);
+    for (std::size_t wi = 0; wi < kIssueWidths.size(); ++wi) copy_cell(1, 3, wi);
+    for (std::size_t li = 0; li < kLevels.size(); ++li)
+      for (std::size_t wi = 0; wi < kIssueWidths.size(); ++wi) copy_cell(2, li, wi);
+  };
+  const std::uint64_t stored = 1 + 4 + 20;
+
+  for (const int jobs : {1, 4}) {
+    engine::ResultCache cache;
+    prestore(cache);
+    StudyOptions opts;
+    opts.jobs = jobs;
+    opts.cache = &cache;
+    const auto before = registry_counts();
+    const StudyResult warm = run_study(suite, opts);
+    const auto after = registry_counts();
+    EXPECT_EQ(warm.to_json(), cold.to_json()) << jobs;
+    EXPECT_EQ(warm.stats.cache_hits, stored) << jobs;
+    EXPECT_EQ(warm.stats.cache_misses, warm.stats.cells - stored) << jobs;
+    // Loop 2 never reaches the frontend; loop 1 skips its Lev3 stage; every
+    // missed cell is scheduled once.
+    EXPECT_EQ(delta(before, after, "pass.frontend"), suite.size() - 1) << jobs;
+    EXPECT_EQ(delta(before, after, "pass.conventional"), suite.size() - 1) << jobs;
+    EXPECT_EQ(delta(before, after, "pass.cleanup"), 5u + 4u + 5u) << jobs;
+    EXPECT_EQ(delta(before, after, "pass.schedule"), warm.stats.cells - stored) << jobs;
   }
 }
 
