@@ -54,23 +54,28 @@ Expected<LoopPlan> LoopPlan::build(const Workload& w, const CompileOptions& opts
   return plan;
 }
 
-Expected<LevelPlan> LoopPlan::level(OptLevel level) const& { return fork(level, fn_); }
-
-Expected<LevelPlan> LoopPlan::level(OptLevel level) && {
-  return fork(level, std::move(fn_));
+Expected<LevelPlan> LoopPlan::level(OptLevel level,
+                                    const std::optional<TransformSet>& set) const& {
+  return fork(level, set.value_or(TransformSet::for_level(level)), fn_);
 }
 
-Expected<LevelPlan> LoopPlan::fork(OptLevel level, Function fn) const {
+Expected<LevelPlan> LoopPlan::level(OptLevel level,
+                                    const std::optional<TransformSet>& set) && {
+  return fork(level, set.value_or(TransformSet::for_level(level)), std::move(fn_));
+}
+
+Expected<LevelPlan> LoopPlan::fork(OptLevel level, const TransformSet& set,
+                                   Function fn) const {
   if (error_) return stage_error(name_, level, error_->c_str());
   LevelPlan out;
   out.name_ = name_;
   out.level_ = level;
+  out.set_ = set;
   out.opts_ = opts_;
   out.fn_ = std::move(fn);
   out.stats_ = stats_;
   try {
-    compile_level(out.fn_, TransformSet::for_level(level), opts_, out.stats_,
-                  CompileContext::local());
+    compile_level(out.fn_, set, opts_, out.stats_, CompileContext::local());
   } catch (const std::exception& e) {
     return stage_error(name_, level, e.what());
   }
@@ -90,8 +95,7 @@ Expected<CompiledLoop> LevelPlan::backend(const MachineModel& m, TransformStats*
                                           Function fn) const {
   TransformStats s = stats_;
   try {
-    compile_backend(fn, TransformSet::for_level(level_), m, opts_, s,
-                    CompileContext::local());
+    compile_backend(fn, set_, m, opts_, s, CompileContext::local());
   } catch (const std::exception& e) {
     return stage_error(name_, level_, e.what());
   }
@@ -108,10 +112,11 @@ Expected<CompiledLoop> LevelPlan::backend(const MachineModel& m, TransformStats*
 Expected<CompiledLoop> try_compile_workload(const Workload& w, OptLevel level,
                                             const MachineModel& m,
                                             const CompileOptions& opts,
-                                            TransformStats* stats) {
+                                            TransformStats* stats,
+                                            const std::optional<TransformSet>& set) {
   auto plan = LoopPlan::build(w, opts);
   if (!plan) return Error{plan.error_message()};
-  auto lv = std::move(*plan).level(level);
+  auto lv = std::move(*plan).level(level, set);
   if (!lv) return Error{lv.error_message()};
   return std::move(*lv).compile(m, stats);
 }

@@ -20,9 +20,13 @@
 //     -> copy, level transformations + cleanup           once per (loop, level)
 //       -> copy, schedule + renumber, registers, simulate once per cell
 //
-// (LoopPlan / LevelPlan below; trans/level.hpp has the three stages.)  Every
-// leaf is identical to a fresh try_compile_workload of its cell, which is the
-// same tree with one level and one width, moved instead of copied.
+// (LoopPlan / LevelPlan below; trans/level.hpp has the three stages.)  The
+// level stage forks on a TransformSet: a paper level's set by default, or an
+// explicit ablation set (ilpd's `transforms` requests).  Every leaf is
+// identical to a fresh try_compile_workload of its cell, which is the same
+// tree with one level and one width, moved instead of copied.  Outside the
+// tests, LoopPlan::build is the only caller of the frontend in the harness,
+// the tuner and the server.
 //
 // The plans run through the experiment engine (src/engine/): a thread pool
 // (`StudyOptions::jobs`) executes one prefix job per loop, then one job per
@@ -160,14 +164,18 @@ class LoopPlan {
  public:
   static Expected<LoopPlan> build(const Workload& w, const CompileOptions& opts = {});
 
-  // Runs `level`'s transformations and cleanup on a copy of the prefix (the
-  // rvalue form moves the prefix instead).
-  [[nodiscard]] Expected<LevelPlan> level(OptLevel level) const&;
-  [[nodiscard]] Expected<LevelPlan> level(OptLevel level) &&;
+  // Runs the transformations of `set` and cleanup on a copy of the prefix
+  // (the rvalue form moves the prefix instead).  `set` defaults to the
+  // paper's `level` (TransformSet::for_level); an explicit one is the
+  // ablation form, and `level` then only tags errors.
+  [[nodiscard]] Expected<LevelPlan> level(
+      OptLevel level, const std::optional<TransformSet>& set = std::nullopt) const&;
+  [[nodiscard]] Expected<LevelPlan> level(
+      OptLevel level, const std::optional<TransformSet>& set = std::nullopt) &&;
 
  private:
   LoopPlan() = default;
-  Expected<LevelPlan> fork(OptLevel level, Function fn) const;
+  Expected<LevelPlan> fork(OptLevel level, const TransformSet& set, Function fn) const;
 
   std::string name_;
   CompileOptions opts_;
@@ -196,6 +204,7 @@ class LevelPlan {
 
   std::string name_;
   OptLevel level_ = OptLevel::Conv;
+  TransformSet set_;
   CompileOptions opts_;
   Function fn_{"x"};
   TransformStats stats_;
@@ -205,11 +214,12 @@ class LevelPlan {
 // cell, not the whole sweep.
 // `stats`, when non-null, receives the per-compile transformation counters
 // (loops unrolled, accumulators expanded, ...; see trans/level.hpp).
-// try_compile_workload is the cell plan of a single cell.
-Expected<CompiledLoop> try_compile_workload(const Workload& w, OptLevel level,
-                                            const MachineModel& m,
-                                            const CompileOptions& opts = {},
-                                            TransformStats* stats = nullptr);
+// try_compile_workload is the cell plan of a single cell; `set` forks its
+// level stage as in LoopPlan::level.
+Expected<CompiledLoop> try_compile_workload(
+    const Workload& w, OptLevel level, const MachineModel& m,
+    const CompileOptions& opts = {}, TransformStats* stats = nullptr,
+    const std::optional<TransformSet>& set = std::nullopt);
 Expected<std::uint64_t> try_simulate_cycles(const Function& fn, const MachineModel& m);
 
 // Profiled variant: same seeded run, but every cycle x issue slot is

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <vector>
 
-#include "frontend/compile.hpp"
 #include "harness/experiment.hpp"
 #include "support/strings.hpp"
 
@@ -66,17 +65,13 @@ double ipc(const CycleProfile& p) {
                        : static_cast<double>(p.slots[0]) / static_cast<double>(p.cycles);
 }
 
-Expected<CycleProfile> profile_one(const std::string& source, OptLevel level,
-                                   const MachineModel& machine,
-                                   const CompileOptions& opts) {
-  DiagnosticEngine diags;
-  auto compiled = dsl::compile(source, diags);
-  if (!compiled) return Error{"compile failed: " + diags.to_string()};
-  try {
-    compile_with_transforms(compiled->fn, TransformSet::for_level(level), machine, opts);
-  } catch (const std::exception& e) {
-    return Error{strformat("%s failed: %s", level_name(level), e.what())};
-  }
+// Profiles the `level` leaf of `plan` on `machine`.
+Expected<CycleProfile> profile_one(const LoopPlan& plan, OptLevel level,
+                                   const MachineModel& machine) {
+  auto lv = plan.level(level);
+  if (!lv) return Error{lv.error_message()};
+  auto compiled = std::move(*lv).compile(machine);
+  if (!compiled) return Error{compiled.error_message()};
   auto sim = try_simulate_profile(compiled->fn, machine);
   if (!sim) return Error{sim.error_message()};
   return std::move(sim->profile);
@@ -150,9 +145,14 @@ Expected<std::string> explain_source(const std::string& name, const std::string&
   constexpr std::array<OptLevel, 5> kAll = {OptLevel::Conv, OptLevel::Lev1,
                                             OptLevel::Lev2, OptLevel::Lev3,
                                             OptLevel::Lev4};
+  Workload w;
+  w.name = name;
+  w.source = source;
+  auto plan = LoopPlan::build(w, opts);
+  if (!plan) return Error{plan.error_message()};
   std::vector<CycleProfile> profs;
   for (const OptLevel level : kAll) {
-    auto p = profile_one(source, level, machine, opts);
+    auto p = profile_one(*plan, level, machine);
     if (!p) return Error{strformat("%s: %s", level_name(level), p.error_message().c_str())};
     out += strformat("%-5s cycles=%-9llu ipc=%-5.2f %s\n", level_name(level),
                      static_cast<unsigned long long>(p->cycles), ipc(*p),
@@ -176,7 +176,9 @@ Expected<std::string> explain_source(const std::string& name, const std::string&
     CompileOptions other = opts;
     other.scheduler = opts.scheduler == SchedulerKind::List ? SchedulerKind::Modulo
                                                             : SchedulerKind::List;
-    auto p = profile_one(source, OptLevel::Lev4, machine, other);
+    auto other_plan = LoopPlan::build(w, other);
+    auto p = other_plan ? profile_one(*other_plan, OptLevel::Lev4, machine)
+                        : Expected<CycleProfile>(Error{other_plan.error_message()});
     if (p) {
       const CycleProfile& base = profs.back();
       const double speedup = p->cycles == 0

@@ -1,10 +1,11 @@
 // The transformation "explain" layer: turns cycle-accounting profiles
 // (sim/profile.hpp) into the paper's argument, stated per program — each
 // transformation level buys its speedup by removing a *specific* kind of
-// stall.  explain_source() compiles one DSL program at Conv..Lev4, profiles
-// every run, and reports which causes each level removed ("renaming removed
-// 41% of raw_wait slots"); format_profile() renders a single profile as a
-// human-readable table for ilpc --profile.
+// stall.  explain_source() compiles one DSL program at Conv..Lev4 through
+// one cell plan (harness/experiment.hpp), profiles every run, and reports
+// which causes each level removed ("renaming removed 41% of raw_wait
+// slots"); format_profile() renders a single profile as a human-readable
+// table for ilpc --profile.
 #pragma once
 
 #include <string>

@@ -3,11 +3,12 @@
 //
 // The service mints a RequestContext per wire request in serve_parsed and
 // installs it with a RequestScope on the thread that serves it (a compile
-// cell executes right there); pool jobs working for the request (autotune
-// candidate evaluations) capture the context by shared_ptr and install their
-// own RequestScope on the worker thread, so everything downstream — log
-// lines, trace spans, pass instrumentation — sees the same request id
-// without any plumbing through the compile pipeline's signatures.
+// cell executes right there).  Pool jobs working for the request (autotune
+// candidate evaluations) capture current_request() at submission and install
+// their own RequestScope on the worker thread; the request outlives its
+// jobs.  So everything downstream (log lines, trace spans, pass
+// instrumentation) sees the same request id without any plumbing through the
+// compile pipeline's signatures.
 //
 // TraceSink is the abstract span consumer implemented by engine::TraceRecorder
 // (obs cannot depend on engine; engine links obs for the histograms).  A null

@@ -11,13 +11,11 @@
 #include <vector>
 
 #include "engine/trace.hpp"
-#include "frontend/compile.hpp"
 #include "harness/cache_key.hpp"
 #include "harness/experiment.hpp"
 #include "obs/context.hpp"
 #include "obs/log.hpp"
 #include "obs/prometheus.hpp"
-#include "regalloc/regalloc.hpp"
 #include "sim/simulator.hpp"
 #include "support/strings.hpp"
 #include "tune/tune.hpp"
@@ -38,9 +36,10 @@ struct Service::Inflight {
   std::shared_future<CellOutcome> future;
 };
 
-// Per-request observability state.  Reference-counted because autotune's
-// candidate jobs re-install the request context on pool workers; the trace
-// recorder lives here.
+// Per-request observability state, alive for the whole request: autotune's
+// candidate jobs re-install its context on pool workers (through
+// obs::current_request()) while the search runs.  The trace recorder lives
+// here.
 struct Service::RequestObs {
   std::string id;
   engine::Stopwatch wall;  // started when the request id is minted
@@ -165,20 +164,6 @@ bool decode_cell(const std::string& payload, Service::CellOutcome& out) {
   return true;
 }
 
-// Content hash of one service cell; doubles as the in-flight coalescing key
-// and (mixed) as the shard-routing key.
-std::uint64_t cell_key(const std::string& source, OptLevel level,
-                       const std::optional<TransformSet>& transforms,
-                       const NestOptions& nest, SchedulerKind scheduler, int issue,
-                       int unroll, std::int64_t debug_sleep_ms) {
-  // Delegates to the shared versioned salt builder (harness/cache_key.hpp)
-  // so autotune candidate evaluations and compile requests for identical
-  // work land on the same cache entry, and a new knob bumps this key, the
-  // study key and the hot tier together.
-  return service_cell_key(source, level, transforms, nest, scheduler, issue, unroll,
-                          debug_sleep_ms);
-}
-
 // Content hash of one autotune search: source + every search knob, salted in
 // the shared version domain so a knob bump rolls the whole-result cache over
 // with the cells.
@@ -256,39 +241,20 @@ Service::CellOutcome Service::compute_cell(
 
   TransformStats tstats;
   engine::Stopwatch compile_watch;
-  Function fn{"x"};
-  if (transforms) {
-    DiagnosticEngine diags;
-    auto r = dsl::compile(source, diags);
-    if (!r) {
-      out.err = ErrorKind::CompileError;
-      out.message = diags.to_string();
-      return out;
-    }
-    try {
-      compile_with_transforms(r->fn, *transforms, m, opts, &tstats);
-    } catch (const std::exception& e) {
-      out.err = ErrorKind::CompileError;
-      out.message = e.what();
-      return out;
-    }
-    fn = std::move(r->fn);
-  } else {
-    Workload w;
-    w.name = "adhoc";
-    w.source = source;
-    auto compiled = try_compile_workload(w, level, m, opts, &tstats);
-    if (!compiled) {
-      out.err = ErrorKind::CompileError;
-      out.message = compiled.error_message();
-      return out;
-    }
-    fn = std::move(compiled->fn);
+  Workload w;
+  w.name = "adhoc";
+  w.source = source;
+  auto compiled = try_compile_workload(w, level, m, opts, &tstats, transforms);
+  if (!compiled) {
+    out.err = ErrorKind::CompileError;
+    out.message = compiled.error_message();
+    return out;
   }
   compile_hist.record(compile_watch.nanos());
   schedule_hist.record(tstats.schedule_ns);
 
-  const RegUsage regs = measure_register_usage(fn);
+  const Function& fn = compiled->fn;
+  const RegUsage regs = compiled->regs;
   engine::Stopwatch sim_watch;
   // Every executed cell is profiled: the daemon-lifetime accumulators behind
   // the `profile` verb and the sim_stall_slots_total exposition sum over all
@@ -371,119 +337,63 @@ struct Service::TuneInflight {
   std::shared_future<TuneOutcome> future;
 };
 
-// Evaluation backend bridging the tuner onto the service.  Candidate
-// measurements run as shard-pinned pool jobs keyed with the compile verb's
-// cell key, so autotune traffic and compile traffic for identical work share
-// one cache entry — and one execution.  Batches return in submission-index
-// order, preserving the tuner's determinism contract; batch wall times land
-// in the tune.phase.* histograms that stats_json and loadgen report.
-class Service::TuneEvaluator final : public tune::Evaluator {
- public:
-  TuneEvaluator(Service& svc, std::shared_ptr<RequestObs> ro)
-      : svc_(svc), ro_(std::move(ro)) {}
-
-  std::vector<Analysis> analyze(const std::string& source, int issue,
-                                const std::vector<tune::TuneConfig>& cfgs) override {
-    static obs::Histogram& search_hist =
-        engine::MetricsRegistry::global().histogram("tune.phase.search");
-    engine::Stopwatch wall;
-    const MachineModel m = MachineModel::issue(issue);
-    std::vector<std::future<Analysis>> futures;
-    futures.reserve(cfgs.size());
-    for (const tune::TuneConfig& c : cfgs)
-      futures.push_back(svc_.pool_->submit([this, &source, &m, c]() -> Analysis {
-        obs::RequestScope scope(&ro_->ctx);
-        const std::string label = "analyze " + c.name();
-        obs::SpanScope span(label, "tune");
-        Analysis a;
-        Workload w;
-        w.name = "tune";
-        w.source = source;
-        auto compiled =
-            try_compile_workload(w, c.level, m, tune::to_compile_options(c));
-        if (!compiled) {
-          a.error = compiled.error_message();
-          return a;
-        }
-        a.ok = true;
-        a.features = tune::extract_features(compiled->fn, m);
-        return a;
-      }));
-    std::vector<Analysis> out(cfgs.size());
-    for (std::size_t i = 0; i < cfgs.size(); ++i) out[i] = futures[i].get();
-    search_hist.record(wall.nanos());
-    return out;
+Service::CellOutcome Service::cached_cell(
+    std::uint64_t key, const std::string& source, OptLevel level,
+    const std::optional<TransformSet>& transforms, const NestOptions& nest,
+    SchedulerKind scheduler, int issue, int unroll, bool* cache_hit) {
+  engine::ResultCache& cache = cache_for(key);
+  if (auto payload = cache.lookup(key)) {
+    CellOutcome hit;
+    if (decode_cell(*payload, hit)) {
+      if (cache_hit != nullptr) *cache_hit = true;
+      return hit;
+    }
+    cache.invalidate(key);
   }
-
-  std::vector<Measurement> measure(const std::string& source, int issue,
-                                   const std::vector<tune::TuneConfig>& cfgs) override {
-    static obs::Histogram& simulate_hist =
-        engine::MetricsRegistry::global().histogram("tune.phase.simulate");
-    engine::Stopwatch wall;
-    std::vector<std::future<Measurement>> futures;
-    futures.reserve(cfgs.size());
-    for (const tune::TuneConfig& c : cfgs) {
-      const std::uint64_t key = cell_key(source, c.level, std::nullopt, c.nest,
-                                         c.scheduler, issue, c.unroll, 0);
-      futures.push_back(svc_.pool_->submit_pinned(
-          static_cast<unsigned>(svc_.shard_index(key)),
-          [this, &source, issue, c, key]() -> Measurement {
-            obs::RequestScope scope(&ro_->ctx);
-            const std::string label = "measure " + c.name();
-            obs::SpanScope span(label, "tune");
-            engine::ResultCache& cache = svc_.cache_for(key);
-            if (auto payload = cache.lookup(key)) {
-              CellOutcome hit;
-              if (decode_cell(*payload, hit))
-                return to_measurement(hit, /*cache_hit=*/true);
-              cache.invalidate(key);
-            }
-            CellOutcome out = svc_.compute_cell(source, c.level, std::nullopt,
-                                                c.nest, c.scheduler, issue,
-                                                c.unroll);
-            cache.store(key, encode_cell(out));
-            svc_.bump(kCellsExecuted);
-            return to_measurement(out, /*cache_hit=*/false);
-          }));
-    }
-    std::vector<Measurement> out(cfgs.size());
-    for (std::size_t i = 0; i < cfgs.size(); ++i) out[i] = futures[i].get();
-    simulate_hist.record(wall.nanos());
-    return out;
+  CellOutcome out;
+  try {
+    out = compute_cell(source, level, transforms, nest, scheduler, issue, unroll);
+  } catch (const std::exception& e) {
+    out.ok = false;
+    out.err = ErrorKind::Internal;
+    out.message = strformat("cell threw: %s", e.what());
   }
+  cache.store(key, encode_cell(out));
+  bump(kCellsExecuted);
+  return out;
+}
 
- private:
-  // Converts a service cell into the tuner's measurement, enforcing the
-  // conservation identity on the cached ProfileSummary — a result whose slot
-  // accounting does not close must never rank, let alone win.
-  static Measurement to_measurement(const CellOutcome& cell, bool cache_hit) {
-    Measurement m;
-    m.cache_hit = cache_hit;
-    if (!cell.ok) {
-      m.error = cell.message;
-      return m;
-    }
-    const ProfileSummary& p = cell.resp.profile;
-    std::uint64_t total = 0;
-    for (const std::uint64_t v : p.slots) total += v;
-    if (total != static_cast<std::uint64_t>(p.width) * p.cycles) {
-      m.error = "profile summary conservation violated";
-      return m;
-    }
-    m.ok = true;
-    m.cycles = cell.resp.cycles;
-    m.mem_wait =
-        total == 0
-            ? 0.0
-            : static_cast<double>(
-                  p.slots[static_cast<std::size_t>(StallCause::MemWait)]) /
-                  static_cast<double>(total);
+namespace {
+
+// Converts a service cell into the tuner's measurement, enforcing the
+// conservation identity on the cached ProfileSummary — a result whose slot
+// accounting does not close must never rank, let alone win.
+tune::Evaluator::Measurement to_measurement(const Service::CellOutcome& cell,
+                                            bool cache_hit) {
+  tune::Evaluator::Measurement m;
+  m.cache_hit = cache_hit;
+  if (!cell.ok) {
+    m.error = cell.message;
     return m;
   }
+  const ProfileSummary& p = cell.resp.profile;
+  std::uint64_t total = 0;
+  for (const std::uint64_t v : p.slots) total += v;
+  if (total != static_cast<std::uint64_t>(p.width) * p.cycles) {
+    m.error = "profile summary conservation violated";
+    return m;
+  }
+  m.ok = true;
+  m.cycles = cell.resp.cycles;
+  m.mem_wait =
+      total == 0
+          ? 0.0
+          : static_cast<double>(p.slots[static_cast<std::size_t>(StallCause::MemWait)]) /
+                static_cast<double>(total);
+  return m;
+}
 
-  Service& svc_;
-  std::shared_ptr<RequestObs> ro_;
-};
+}  // namespace
 
 Service::Service(ServiceConfig cfg)
     : cfg_(std::move(cfg)),
@@ -659,8 +569,8 @@ Service::ParsedRequest Service::parse_and_route(const std::string& line) const {
   } else {
     p.source = c.source;
   }
-  p.cell_key = cell_key(p.source, c.level, c.transforms, c.nest, c.scheduler,
-                        c.issue, c.unroll, c.debug_sleep_ms);
+  p.cell_key = service_cell_key(p.source, c.level, c.transforms, c.nest,
+                                c.scheduler, c.issue, c.unroll, c.debug_sleep_ms);
   p.has_key = true;
   p.shard = shard_index(p.cell_key);
   return p;
@@ -706,14 +616,14 @@ Reply Service::serve_parsed(ParsedRequest p, std::uint64_t queued_ns) {
           (req.kind == RequestKind::Compile && req.compile.trace) ||
           (req.kind == RequestKind::Autotune && req.autotune.trace);
       const bool traced = wants_trace && !cfg_.trace_dir.empty();
-      auto ro = std::make_shared<RequestObs>(
+      RequestObs ro(
           strformat("r-%" PRIu64,
                     request_seq_.fetch_add(1, std::memory_order_relaxed) + 1),
           traced);
       if (wants_trace && !traced)
         obs::Logger::global().warn_rate_limited(
             "trace_untraceable", "trace requested but no --trace-dir configured");
-      obs::RequestScope scope(&ro->ctx);
+      obs::RequestScope scope(&ro.ctx);
       obs::log_debug(req.kind == RequestKind::Compile  ? "compile request"
                      : req.kind == RequestKind::Batch ? "batch request"
                                                       : "autotune request");
@@ -722,7 +632,7 @@ Reply Service::serve_parsed(ParsedRequest p, std::uint64_t queued_ns) {
                 : req.kind == RequestKind::Autotune
                     ? flat_reply(handle_autotune(req, ro))
                     : flat_reply(handle_batch(req));
-      latency_hist_.record(ro->wall.nanos());
+      latency_hist_.record(ro.wall.nanos());
       return r;
     }
   }
@@ -732,7 +642,7 @@ Reply Service::serve_parsed(ParsedRequest p, std::uint64_t queued_ns) {
 }
 
 Reply Service::handle_compile(const ParsedRequest& p,
-                              const std::shared_ptr<RequestObs>& ro,
+                              const RequestObs& ro,
                               std::uint64_t queued_ns) {
   const Request& req = *p.req;
   const CompileRequest& c = req.compile;
@@ -749,7 +659,7 @@ Reply Service::handle_compile(const ParsedRequest& p,
     r.body = std::move(body);
     r.id_json = req.id_json;
     r.cached = cached;
-    r.request_id = ro->id;
+    r.request_id = ro.id;
     return r;
   };
 
@@ -856,7 +766,7 @@ Reply Service::handle_compile(const ParsedRequest& p,
     CellOutcome out = entry->future.get();
     if (!out.ok) return respond_error(out);
     bump(kOk);
-    out.resp.request_id = ro->id;
+    out.resp.request_id = ro.id;
     out.resp.have_profile = c.profile;
     return flat_reply(serialize_compile_response(req.id_json, out.resp));
   }
@@ -886,31 +796,14 @@ Reply Service::handle_compile(const ParsedRequest& p,
       out.err = ErrorKind::DeadlineExceeded;
       out.message = "cancelled while queued (deadline exceeded)";
     } else {
-      // Close the lookup->admit race: an identical cell can finish (cache
-      // store, then inflight erase, in that order) between this request's
-      // cache miss and its admission.  The admission lock synchronizes with
-      // the erase, so re-checking here is guaranteed to see the twin's
-      // payload — every cell executes (and accumulates into the profile
-      // counters) exactly once.
-      if (auto payload = sh.cache->lookup(key)) {
-        CellOutcome hit;
-        if (decode_cell(*payload, hit)) {
-          out = std::move(hit);
-          raced_hit = true;
-        }
-      }
-      if (!raced_hit) {
-        try {
-          out = compute_cell(p.source, c.level, c.transforms, c.nest, c.scheduler,
-                             c.issue, c.unroll);
-        } catch (const std::exception& e) {
-          out.ok = false;
-          out.err = ErrorKind::Internal;
-          out.message = strformat("cell threw: %s", e.what());
-        }
-        sh.cache->store(key, encode_cell(out));
-        bump(kCellsExecuted);
-      }
+      // The cache lookup inside cached_cell closes the lookup->admit race:
+      // an identical cell can finish (cache store, then inflight erase, in
+      // that order) between this request's cache miss and its admission.
+      // The admission lock synchronizes with the erase, so re-checking is
+      // guaranteed to see the twin's payload — every cell executes (and
+      // accumulates into the profile counters) exactly once.
+      out = cached_cell(key, p.source, c.level, c.transforms, c.nest, c.scheduler,
+                        c.issue, c.unroll, &raced_hit);
       if (out.ok) {
         out.resp.have_profile = c.profile;  // joiners re-gate from their own flag
         body = std::make_shared<const CompileBody>(serialize_compile_body(out.resp));
@@ -926,12 +819,12 @@ Reply Service::handle_compile(const ParsedRequest& p,
   settle_cells(1);
 
   if (deadline_hit) return deadline_reply();
-  const std::string trace_file = write_request_trace(*ro);
+  const std::string trace_file = write_request_trace(ro);
   if (!out.ok) return respond_error(out);
   if (trace_file.empty()) return segment_reply(std::move(body), /*cached=*/raced_hit);
   // A traced reply names its trace file, so it is built whole.
   bump(kOk);
-  out.resp.request_id = ro->id;
+  out.resp.request_id = ro.id;
   out.resp.cached = raced_hit;
   out.resp.trace_file = trace_file;
   return flat_reply(serialize_compile_response(req.id_json, out.resp));
@@ -997,8 +890,8 @@ std::string Service::handle_batch(const Request& req) {
         slot.width = width;
         engine::Stopwatch queued;
         const SchedulerKind scheduler = req.batch.scheduler;
-        const std::uint64_t key = cell_key(w->source, level, std::nullopt,
-                                           NestOptions{}, scheduler, width, 8, 0);
+        const std::uint64_t key = service_cell_key(w->source, level, std::nullopt,
+                                                   NestOptions{}, scheduler, width, 8, 0);
         futures.push_back(group.submit_pinned(
             static_cast<unsigned>(shard_index(key)),
             [this, w, level, width, scheduler, key, queued]() -> BatchCell {
@@ -1007,25 +900,8 @@ std::string Service::handle_batch(const Request& req) {
               cell.workload = w->name;
               cell.level = level;
               cell.width = width;
-              engine::ResultCache& cache = cache_for(key);
-              if (auto payload = cache.lookup(key)) {
-                CellOutcome cached;
-                if (decode_cell(*payload, cached)) {
-                  if (cached.ok) {
-                    cell.cycles = cached.resp.cycles;
-                    cell.int_regs = cached.resp.int_regs;
-                    cell.fp_regs = cached.resp.fp_regs;
-                  } else {
-                    cell.error = cached.message;
-                  }
-                  return cell;
-                }
-                cache.invalidate(key);
-              }
-              CellOutcome out = compute_cell(w->source, level, std::nullopt,
-                                             NestOptions{}, scheduler, width, 8);
-              cache.store(key, encode_cell(out));
-              bump(kCellsExecuted);
+              const CellOutcome out = cached_cell(key, w->source, level, std::nullopt,
+                                                  NestOptions{}, scheduler, width, 8);
               if (out.ok) {
                 cell.cycles = out.resp.cycles;
                 cell.int_regs = out.resp.int_regs;
@@ -1063,7 +939,7 @@ std::string Service::handle_batch(const Request& req) {
 }
 
 std::string Service::handle_autotune(const Request& req,
-                                     const std::shared_ptr<RequestObs>& ro) {
+                                     const RequestObs& ro) {
   bump(kTuneRequests);
   const AutotuneRequest& a = req.autotune;
   std::string source = a.source;
@@ -1085,8 +961,8 @@ std::string Service::handle_autotune(const Request& req,
     if (out.ok) {
       bump(kOk);
       return serialize_autotune_response(req.id_json, out.result_json, cached,
-                                         ro->id, trace_file,
-                                         ro->wall.seconds() * 1e3);
+                                         ro.id, trace_file,
+                                         ro.wall.seconds() * 1e3);
     }
     bump(error_counter(out.err));
     obs::log_debug("autotune request failed",
@@ -1179,7 +1055,17 @@ std::string Service::handle_autotune(const Request& req,
   TuneOutcome out;
   {
     obs::SpanScope span("autotune", "tune");
-    TuneEvaluator eval(*this, ro);
+    // Candidates measure as compile cells through the shard caches, so a
+    // tuned cell and a compiled cell are one cache entry and one execution.
+    auto measure = [this](const std::string& src, int issue, const tune::TuneConfig& c) {
+      const std::uint64_t key = service_cell_key(src, c.level, std::nullopt, c.nest,
+                                                 c.scheduler, issue, c.unroll, 0);
+      bool hit = false;
+      const CellOutcome cell = cached_cell(key, src, c.level, std::nullopt, c.nest,
+                                           c.scheduler, issue, c.unroll, &hit);
+      return to_measurement(cell, hit);
+    };
+    tune::LocalEvaluator eval(pool_.get(), measure);
     const tune::TuneResult r = [&] {
       try {
         return tune::autotune(source, topts, eval);
@@ -1224,7 +1110,7 @@ std::string Service::handle_autotune(const Request& req,
   tune_jobs_.fetch_sub(1, std::memory_order_relaxed);
   settle_cells(1);
 
-  const std::string trace_file = write_request_trace(*ro);
+  const std::string trace_file = write_request_trace(ro);
   return respond(out, /*cached=*/false, trace_file);
 }
 

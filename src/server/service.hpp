@@ -14,7 +14,9 @@
 //     so that a shard's structures are touched by one worker thread almost
 //     always; per-shard mutexes remain for cross-shard joiners, batch and
 //     autotune pool jobs and the stats walkers, but they are uncontended in
-//     steady state.
+//     steady state.  (The result cache partitions lock internally: autotune
+//     measurements run on any pool worker and write whichever partition
+//     their cell key names.)
 //   * Admission is a bounded counter: at most `workers + queue_limit` study
 //     cells may be in flight (queued or executing).  A request that would
 //     exceed the bound is rejected immediately with an `overloaded` error —
@@ -204,7 +206,6 @@ class Service {
   struct RequestObs;
   struct TuneOutcome;
   struct TuneInflight;
-  class TuneEvaluator;
 
  private:
   // Internal counter mirror of ServiceCounters (same order); relaxed
@@ -251,25 +252,39 @@ class Service {
   // cells via a promise-backed in-flight entry, returns zero-copy segments
   // on warm hits.
   Reply handle_compile(const ParsedRequest& p,
-                       const std::shared_ptr<RequestObs>& ro,
+                       const RequestObs& ro,
                        std::uint64_t queued_ns);
   std::string handle_batch(const Request& req);
   // Autotune verb: coalesced by search content hash, whole results cached,
-  // candidate evaluations fanned onto the pool via TuneEvaluator (sharing
-  // the compile verb's cell cache), deadline/drain folded into the search's
-  // cancellation hook so it stops with the best found so far.
+  // candidate evaluations fanned onto the pool by tune::LocalEvaluator, whose
+  // measurements are cached_cell calls (so they share the compile verb's
+  // cells), deadline/drain folded into the search's cancellation hook so it
+  // stops with the best found so far.
   std::string handle_autotune(const Request& req,
-                              const std::shared_ptr<RequestObs>& ro);
+                              const RequestObs& ro);
 
   // Closes a traced request's Chrome trace with its `request` span and
   // writes it to <trace_dir>/req-<id>.json; returns the path, or "" when the
   // request is untraced or the write failed.
   std::string write_request_trace(const RequestObs& ro) const;
 
+  // Compiles the cell through its cell plan (harness/experiment.hpp; the
+  // `transforms` ablation form forks the level stage on that set) and
+  // simulates it profiled.  No cache, no accounting: cached_cell owns both.
   CellOutcome compute_cell(const std::string& source, OptLevel level,
                            const std::optional<TransformSet>& transforms,
                            const NestOptions& nest, SchedulerKind scheduler,
                            int issue, int unroll);
+  // The one way a cell runs: the shard cache's entry for `key` when it
+  // decodes, otherwise compute_cell, stored under `key` and counted in
+  // cells_executed (a throwing cell is stored as an `internal` error).
+  // Compile executors, batch members and autotune measurements all call it,
+  // so identical work is one cache entry whichever verb asked for it.
+  // `cache_hit`, when non-null, is set on a hit.
+  CellOutcome cached_cell(std::uint64_t key, const std::string& source,
+                          OptLevel level, const std::optional<TransformSet>& transforms,
+                          const NestOptions& nest, SchedulerKind scheduler, int issue,
+                          int unroll, bool* cache_hit = nullptr);
   std::uint64_t base_cycles_for(const std::string& source);
   // Folds one executed cell's profile into the daemon-lifetime accumulators
   // behind profile_json() and the sim.* metric families.

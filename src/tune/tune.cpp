@@ -4,13 +4,16 @@
 #include <cinttypes>
 #include <cmath>
 #include <cstdio>
+#include <exception>
 #include <future>
 #include <numeric>
 #include <set>
 
+#include "engine/metrics.hpp"
 #include "harness/cache_key.hpp"
-#include "sim/profile.hpp"
 #include "harness/experiment.hpp"
+#include "obs/context.hpp"
+#include "sim/profile.hpp"
 #include "support/strings.hpp"
 #include "workloads/suite.hpp"
 
@@ -152,10 +155,81 @@ Evaluator::Measurement measure_one(const std::string& source, int issue,
   return out;
 }
 
+// measure_one memoized under the "tune-cell" key (no cache: measure_one).
+Evaluator::Measurement cached_measure(engine::ResultCache* cache,
+                                      const std::string& source, int issue,
+                                      const TuneConfig& c) {
+  if (cache == nullptr) return measure_one(source, issue, c);
+  const std::uint64_t key = tune_cell_key(source, issue, c);
+  if (auto payload = cache->lookup(key)) {
+    Evaluator::Measurement hit;
+    if (std::sscanf(payload->c_str(), "tune-v1 ok %" SCNu64 " %lf", &hit.cycles,
+                    &hit.mem_wait) == 2) {
+      hit.ok = true;
+      hit.cache_hit = true;
+      return hit;
+    }
+    cache->invalidate(key);  // stale schema or an encoded error: recompute
+  }
+  Evaluator::Measurement out = measure_one(source, issue, c);
+  if (out.ok)
+    cache->store(key, strformat("tune-v1 ok %" PRIu64 " %.9f", out.cycles, out.mem_wait));
+  return out;
+}
+
+// Runs `one` over a batch, on the pool when there is one, results by input
+// index.  Each job runs under the caller's request context and records a
+// "<verb> <config>" span; the label is built only for a traced request.
+// Every job settles before an exception escapes, so none outlives `one`.
+template <typename Result, typename One>
+std::vector<Result> run_batch(engine::ThreadPool* pool, const char* verb,
+                              const std::vector<TuneConfig>& cfgs, const One& one) {
+  const obs::RequestContext* rc = obs::current_request();
+  auto job = [rc, verb, &one](const TuneConfig& c) {
+    obs::RequestScope scope(rc);
+    std::string label;
+    if (rc != nullptr && rc->sink != nullptr)
+      label = strformat("%s %s", verb, c.name().c_str());
+    obs::SpanScope span(label, "tune");
+    return one(c);
+  };
+  std::vector<Result> out(cfgs.size());
+  if (pool == nullptr || cfgs.size() < 2) {
+    for (std::size_t i = 0; i < cfgs.size(); ++i) out[i] = job(cfgs[i]);
+    return out;
+  }
+  std::vector<std::future<Result>> futures;
+  futures.reserve(cfgs.size());
+  for (const TuneConfig& c : cfgs)
+    futures.push_back(pool->submit([&job, c] { return job(c); }));
+  std::exception_ptr error;
+  for (std::size_t i = 0; i < cfgs.size(); ++i) {
+    try {
+      out[i] = futures[i].get();
+    } catch (...) {
+      if (!error) error = std::current_exception();
+    }
+  }
+  if (error) std::rethrow_exception(error);
+  return out;
+}
+
 }  // namespace
+
+LocalEvaluator::LocalEvaluator(engine::ThreadPool* pool, engine::ResultCache* cache)
+    : LocalEvaluator(pool, [cache](const std::string& source, int issue,
+                                   const TuneConfig& c) {
+        return cached_measure(cache, source, issue, c);
+      }) {}
+
+LocalEvaluator::LocalEvaluator(engine::ThreadPool* pool, MeasureFn measure)
+    : pool_(pool), measure_(std::move(measure)) {}
 
 std::vector<Evaluator::Analysis> LocalEvaluator::analyze(
     const std::string& source, int issue, const std::vector<TuneConfig>& cfgs) {
+  static obs::Histogram& search_hist =
+      engine::MetricsRegistry::global().histogram("tune.phase.search");
+  const engine::Stopwatch wall;
   const MachineModel m = MachineModel::issue(issue);
   auto one = [&source, &m](const TuneConfig& c) {
     Analysis a;
@@ -169,55 +243,21 @@ std::vector<Evaluator::Analysis> LocalEvaluator::analyze(
     a.features = extract_features(compiled->fn, m);
     return a;
   };
-  std::vector<Analysis> out(cfgs.size());
-  if (pool_ == nullptr || cfgs.size() < 2) {
-    for (std::size_t i = 0; i < cfgs.size(); ++i) out[i] = one(cfgs[i]);
-    return out;
-  }
-  std::vector<std::future<Analysis>> futures;
-  futures.reserve(cfgs.size());
-  for (const TuneConfig& c : cfgs)
-    futures.push_back(pool_->submit([&one, c] { return one(c); }));
-  for (std::size_t i = 0; i < cfgs.size(); ++i) out[i] = futures[i].get();
+  auto out = run_batch<Analysis>(pool_, "analyze", cfgs, one);
+  search_hist.record(wall.nanos());
   return out;
 }
 
 std::vector<Evaluator::Measurement> LocalEvaluator::measure(
     const std::string& source, int issue, const std::vector<TuneConfig>& cfgs) {
+  static obs::Histogram& simulate_hist =
+      engine::MetricsRegistry::global().histogram("tune.phase.simulate");
+  const engine::Stopwatch wall;
   auto one = [this, &source, issue](const TuneConfig& c) {
-    Measurement out;
-    const std::uint64_t key = cache_ ? tune_cell_key(source, issue, c) : 0;
-    if (cache_ != nullptr) {
-      if (auto payload = cache_->lookup(key)) {
-        std::uint64_t cycles = 0;
-        double mem_wait = 0.0;
-        if (std::sscanf(payload->c_str(), "tune-v1 ok %" SCNu64 " %lf", &cycles,
-                        &mem_wait) == 2) {
-          out.ok = true;
-          out.cycles = cycles;
-          out.mem_wait = mem_wait;
-          out.cache_hit = true;
-          return out;
-        }
-        cache_->invalidate(key);  // stale schema or an encoded error: recompute
-      }
-    }
-    out = measure_one(source, issue, c);
-    if (cache_ != nullptr && out.ok)
-      cache_->store(key, strformat("tune-v1 ok %" PRIu64 " %.9f", out.cycles,
-                                   out.mem_wait));
-    return out;
+    return measure_(source, issue, c);
   };
-  std::vector<Measurement> out(cfgs.size());
-  if (pool_ == nullptr || cfgs.size() < 2) {
-    for (std::size_t i = 0; i < cfgs.size(); ++i) out[i] = one(cfgs[i]);
-    return out;
-  }
-  std::vector<std::future<Measurement>> futures;
-  futures.reserve(cfgs.size());
-  for (const TuneConfig& c : cfgs)
-    futures.push_back(pool_->submit([&one, c] { return one(c); }));
-  for (std::size_t i = 0; i < cfgs.size(); ++i) out[i] = futures[i].get();
+  auto out = run_batch<Measurement>(pool_, "measure", cfgs, one);
+  simulate_hist.record(wall.nanos());
   return out;
 }
 

@@ -21,9 +21,10 @@
 // index, calibration updates happen in index order, and every ranking uses
 // explicit (value, config-order) keys — so a parallel evaluator returns
 // byte-identical results to a serial one, and identical requests coalesce
-// on content hash.  Evaluation is abstracted behind `Evaluator` so the same
-// search core runs in-process (ilpc/bench: thread pool + result cache) and
-// inside ilpd (shard-pinned jobs sharing the service's cell cache).
+// on content hash.  Evaluation is abstracted behind `Evaluator`; the one
+// implementation, LocalEvaluator, runs in-process (ilpc/bench: thread pool +
+// result cache) and inside ilpd (the service's pool, measuring through its
+// cell cache).
 #pragma once
 
 #include <cstdint>
@@ -148,16 +149,28 @@ class Evaluator {
                                            const std::vector<TuneConfig>& cfgs) = 0;
 };
 
-// In-process evaluator for ilpc/bench/tests: optional thread pool for
-// concurrency (null: serial) and optional result cache for memoization
-// (null: none).  Measurements are cached under a "tune-cell" domain key
-// derived from the same shared salt builder as the service cells, and every
-// simulation runs profiled with the conservation check enforced.
+// The evaluator: ilpc, the benches, the tests and ilpd all run this one.
+// Batches fan out on the optional thread pool (null: serial on the calling
+// thread).  Each job runs under the caller's request context
+// (obs::current_request()), so a traced request gets an "analyze <config>" /
+// "measure <config>" span per candidate, and each batch's wall time lands in
+// the tune.phase.search / tune.phase.simulate histograms.
+//
+// A measurement is one call of the measure function per candidate.  The
+// default compiles and simulates the candidate profiled, with the
+// conservation check enforced, memoized in `cache` (null: none) under a
+// "tune-cell" domain key derived from the same shared salt builder as the
+// service cells.  ilpd passes its own, which runs the candidate as a compile
+// cell through its shard cache, so a tuned cell and a compiled cell are one
+// cache entry.
 class LocalEvaluator : public Evaluator {
  public:
+  using MeasureFn = std::function<Measurement(const std::string& source, int issue,
+                                              const TuneConfig& config)>;
+
   explicit LocalEvaluator(engine::ThreadPool* pool = nullptr,
-                          engine::ResultCache* cache = nullptr)
-      : pool_(pool), cache_(cache) {}
+                          engine::ResultCache* cache = nullptr);
+  LocalEvaluator(engine::ThreadPool* pool, MeasureFn measure);
 
   std::vector<Analysis> analyze(const std::string& source, int issue,
                                 const std::vector<TuneConfig>& cfgs) override;
@@ -166,7 +179,7 @@ class LocalEvaluator : public Evaluator {
 
  private:
   engine::ThreadPool* pool_;
-  engine::ResultCache* cache_;
+  MeasureFn measure_;
 };
 
 TuneResult autotune(const std::string& source, const TuneOptions& opts,

@@ -171,6 +171,60 @@ TEST(Observability, TracedRequestWritesChromeTraceWithCorrelatedSpans) {
   EXPECT_TRUE(has_pass) << "no pass.* span in trace";
 }
 
+// A traced autotune: the evaluator carries the request onto its pool jobs,
+// so every candidate's analyze/measure span lands in the request's trace,
+// and each evaluation batch feeds the tune phase histograms behind `stats`.
+TEST(Observability, TracedAutotuneRecordsCandidateSpansAndPhaseHistograms) {
+  TempDir traces;
+  ServiceConfig cfg;
+  cfg.workers = 2;
+  cfg.trace_dir = traces.path;
+  Service service(cfg);
+  auto tune_counts = [&service] {
+    const auto stats = parse_ok(service.serve(R"({"kind": "stats"})").to_line());
+    const JsonValue* tune = stats.find("stats")->find("tune");
+    return std::make_pair(tune->find("search_us")->find("count")->as_int(),
+                          tune->find("simulate_us")->find("count")->as_int());
+  };
+  const auto before = tune_counts();
+
+  const auto reply = parse_ok(service.serve(
+      R"({"id": 5, "kind": "autotune", "workload": "APS-1", "beam": 2, )"
+      R"("rounds": 1, "max_sims": 12, "trace": true})").to_line());
+  ASSERT_TRUE(reply.find("ok")->as_bool());
+  const std::string rid = reply.find("request_id")->as_string();
+  ASSERT_NE(reply.find("trace_file"), nullptr);
+  std::ifstream in(reply.find("trace_file")->as_string());
+  std::stringstream ss;
+  ss << in.rdbuf();
+  const auto doc = parse_ok(ss.str());
+  const JsonValue* events = doc.find("traceEvents");
+  ASSERT_NE(events, nullptr);
+  int analyze = 0;
+  int measure = 0;
+  for (const JsonValue& ev : events->items()) {
+    const std::string name = ev.find("name")->as_string();
+    const bool a = name.rfind("analyze ", 0) == 0;
+    const bool m = name.rfind("measure ", 0) == 0;
+    if (!a && !m) continue;
+    ASSERT_NE(ev.find("args"), nullptr) << name;
+    ASSERT_NE(ev.find("args")->find("request_id"), nullptr) << name;
+    EXPECT_EQ(ev.find("args")->find("request_id")->as_string(), rid) << name;
+    analyze += a ? 1 : 0;
+    measure += m ? 1 : 0;
+  }
+  const JsonValue* result = reply.find("result");
+  const JsonValue* cands = result->find("candidates");
+  EXPECT_EQ(analyze, cands->find("considered")->as_int());
+  EXPECT_EQ(measure, cands->find("simulated")->as_int());
+
+  // One search batch and one simulate batch per round, seeds included.
+  const auto after = tune_counts();
+  const std::int64_t rounds = result->find("rounds")->as_int() + 1;
+  EXPECT_GE(after.first - before.first, rounds);
+  EXPECT_GE(after.second - before.second, rounds);
+}
+
 TEST(Observability, UntracedRequestsWriteNothing) {
   TempDir traces;
   ServiceConfig cfg;

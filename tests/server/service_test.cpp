@@ -341,6 +341,49 @@ TEST(Service, BatchComputesFullCrossProduct) {
   EXPECT_EQ(service.inflight_cells(), 0u);
 }
 
+// The ablation form (`transforms`) runs the same cell plan as `level`: with
+// Lev4's set it is the Lev4 cell in every measured field, and a source the
+// frontend rejects fails with the level path's text.
+TEST(Service, ExplicitTransformsMatchTheLevelPath) {
+  Service service(config(2));
+  const auto by_level = parse_ok(service.serve(
+      R"({"id": 1, "kind": "compile", "workload": "APS-1", "level": "lev4"})").to_line());
+  const auto by_set = parse_ok(service.serve(
+      R"({"id": 2, "kind": "compile", "workload": "APS-1", "transforms": )"
+      R"({"unroll": true, "rename": true, "combine": true, "strength": true, )"
+      R"("height": true, "acc_expand": true, "ind_expand": true, "search_expand": true}})")
+                                   .to_line());
+  ASSERT_TRUE(by_level.find("ok")->as_bool()) << error_kind_of(by_level);
+  ASSERT_TRUE(by_set.find("ok")->as_bool()) << error_kind_of(by_set);
+  EXPECT_FALSE(by_set.find("cached")->as_bool());  // distinct cell keys
+  EXPECT_EQ(by_set.find("cycles")->as_int(), by_level.find("cycles")->as_int());
+  for (const char* bank : {"int", "fp"})
+    EXPECT_EQ(by_set.find("registers")->find(bank)->as_int(),
+              by_level.find("registers")->find(bank)->as_int())
+        << bank;
+  const JsonValue* want = by_level.find("transforms");
+  const JsonValue* got = by_set.find("transforms");
+  ASSERT_NE(want, nullptr);
+  ASSERT_NE(got, nullptr);
+  EXPECT_GT(want->find("loops_unrolled")->as_int(), 0);
+  for (const auto& [name, value] : want->members()) {
+    ASSERT_NE(got->find(name), nullptr) << name;
+    EXPECT_EQ(got->find(name)->as_int(), value.as_int()) << name;
+  }
+
+  const char* broken = R"(program p\nloop i = 0 to {)";
+  const auto level_err = parse_ok(
+      service.serve(strformat(R"({"id": 3, "kind": "compile", "source": "%s", )"
+                              R"("level": "lev4"})", broken)).to_line());
+  const auto set_err = parse_ok(service.serve(strformat(
+      R"({"id": 4, "kind": "compile", "source": "%s", "transforms": {"unroll": true}})",
+      broken)).to_line());
+  EXPECT_EQ(error_kind_of(set_err), "compile_error");
+  const std::string message = set_err.find("error")->find("message")->as_string();
+  EXPECT_EQ(message.rfind("workload 'adhoc' failed to compile: ", 0), 0u) << message;
+  EXPECT_EQ(message, level_err.find("error")->find("message")->as_string());
+}
+
 TEST(Service, BatchReusesCompileCacheEntries) {
   Service service(config(2));
   parse_ok(service

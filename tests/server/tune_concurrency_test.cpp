@@ -184,6 +184,26 @@ TEST(TuneVerb, StatsAndMetricsCarryTuneFamilies) {
     EXPECT_NE(exposition.find(name), std::string::npos) << name;
 }
 
+// A tuned cell is a compiled cell: the search's Lev4 seed at the default
+// knobs and a `compile` of the same loop at the same width share one cache
+// entry, so the compile after a search executes nothing.
+TEST(TuneVerb, TunedCellIsACompiledCell) {
+  Service service(config(4));
+  const JsonValue tuned = parse_ok(service.serve(autotune_line("APS-1")).to_line());
+  ASSERT_TRUE(tuned.find("ok")->as_bool()) << error_kind_of(tuned);
+  const std::uint64_t executed = service.counters().cells_executed;
+  EXPECT_GT(executed, 0u);
+
+  const JsonValue compiled = parse_ok(service.serve(
+      R"({"id": 8, "kind": "compile", "workload": "APS-1", "level": "lev4", )"
+      R"("issue": 8})").to_line());
+  ASSERT_TRUE(compiled.find("ok")->as_bool()) << error_kind_of(compiled);
+  EXPECT_TRUE(compiled.find("cached")->as_bool());
+  EXPECT_EQ(service.counters().cells_executed, executed);
+  EXPECT_EQ(compiled.find("cycles")->as_int(),
+            tuned.find("result")->find("lev4_cycles")->as_int());
+}
+
 // Identical searches racing from many threads: every reply carries the same
 // winner, whether it executed, coalesced onto the in-flight search, or
 // replayed from the whole-result cache.
