@@ -113,6 +113,7 @@ class ScopedTimer {
 class Stopwatch {
  public:
   Stopwatch() : start_(std::chrono::steady_clock::now()) {}
+  [[nodiscard]] std::chrono::steady_clock::time_point start() const { return start_; }
   [[nodiscard]] double seconds() const {
     return std::chrono::duration<double>(std::chrono::steady_clock::now() - start_)
         .count();

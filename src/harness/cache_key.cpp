@@ -1,5 +1,7 @@
 #include "harness/cache_key.hpp"
 
+#include <cstring>
+
 #include "sched/modulo/modulo.hpp"
 
 namespace ilp {
@@ -63,6 +65,28 @@ std::uint64_t service_cell_key(std::string_view source, OptLevel level,
   hash_compile_options(h, opts);
   h.i32(issue);
   h.i64(debug_sleep_ms);
+  return h.digest();
+}
+
+std::uint64_t service_base_key(std::string_view source) {
+  engine::HashStream h;
+  hash_domain_salt(h, "ilpd-base");
+  h.str(source);
+  return h.digest();
+}
+
+std::uint64_t service_search_key(std::string_view source, int issue, int beam,
+                                 int rounds, int max_sims, double sim_fraction,
+                                 bool cost_model) {
+  engine::HashStream h;
+  hash_domain_salt(h, "ilpd-tune");
+  h.str(source);
+  h.i32(issue).i32(beam).i32(rounds).i32(max_sims);
+  std::uint64_t frac_bits = 0;
+  static_assert(sizeof(frac_bits) == sizeof(sim_fraction));
+  std::memcpy(&frac_bits, &sim_fraction, sizeof(frac_bits));
+  h.u64(frac_bits);
+  h.boolean(cost_model);
   return h.digest();
 }
 

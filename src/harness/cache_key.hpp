@@ -1,12 +1,15 @@
 // Shared, versioned cache-key salt builder.
 //
-// Three content-addressed caches hash compile knobs into their keys: the
-// study cells ("ilp92-cell"), the ilpd service cells ("ilpd-cell"), and the
-// pre-serialized hot response tier (which salts the cell key per variant).
-// Before this header each site hand-maintained its own field list and its
-// own "-vN" literal, so adding a knob meant three edits that could drift.
-// Now every key flows through the helpers below and `kCacheKeyVersion`:
-// adding a knob (or changing what an existing one means) is one bump here
+// Every content-addressed cache family salts its key here, through
+// hash_domain_salt and `kCacheKeyVersion`:
+//   * "ilp92-cell"  study cells (harness/experiment.cpp study_cell_key);
+//   * "ilpd-cell"   ilpd cells, shared by compile, batch and autotune
+//                   candidates (service_cell_key), plus the hot response
+//                   tier's per-variant salt of that key;
+//   * "ilpd-base"   the Conv @ issue-1 speedup baseline (service_base_key);
+//   * "tune-cell"   the tuner's own measurements (tune/tune.cpp);
+//   * "ilpd-tune"   whole autotune searches (service_search_key).
+// Adding a knob (or changing what an existing one means) is one bump here
 // and every persisted cache rolls over together.
 #pragma once
 
@@ -48,6 +51,16 @@ std::uint64_t service_cell_key(std::string_view source, OptLevel level,
                                const std::optional<TransformSet>& transforms,
                                const NestOptions& nest, SchedulerKind scheduler,
                                int issue, int unroll, std::int64_t debug_sleep_ms);
+
+// Content hash of the service's speedup baseline for `source`: its Conv
+// cycles at issue 1, shared by every level and width of that source.
+std::uint64_t service_base_key(std::string_view source);
+
+// Content hash of one ilpd autotune search: the source and every search
+// knob.
+std::uint64_t service_search_key(std::string_view source, int issue, int beam,
+                                 int rounds, int max_sims, double sim_fraction,
+                                 bool cost_model);
 
 // Hot-tier variant salt ("profile" in ASCII): a pre-serialized profiled body
 // must never answer an unprofiled request for the same cell, and vice versa.

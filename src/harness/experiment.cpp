@@ -10,6 +10,7 @@
 #include <memory>
 #include <thread>
 
+#include "engine/memo.hpp"
 #include "engine/metrics.hpp"
 #include "engine/pool.hpp"
 #include "engine/trace.hpp"
@@ -192,6 +193,10 @@ bool decode_cell(const std::string& payload, CellResult& out) {
   return false;  // unknown schema (stale disk entry): treat as miss
 }
 
+// Every study outcome is cached, a compile error included (it is
+// deterministic); a job that threw stores nothing.
+constexpr engine::Codec<CellResult> kCellCodec{encode_cell, decode_cell};
+
 constexpr std::size_t kCellsPerLoop = kLevels.size() * kIssueWidths.size();
 
 // One loop's cells and the plan its jobs share.  The prefix job fills the
@@ -230,7 +235,8 @@ void fail_missed(LoopCells& lc, std::size_t first, std::size_t last,
     if (!lc.missed[i]) continue;
     lc.cells[i] = CellResult{};
     lc.cells[i].error = error;
-    if (cache != nullptr) cache->store(lc.keys[i], encode_cell(lc.cells[i]));
+    if (cache != nullptr)
+      engine::memo_store(*cache, lc.keys[i], kCellCodec, lc.cells[i]);
   }
 }
 
@@ -255,12 +261,9 @@ void run_prefix_job(const Workload& w, const CompileOptions& copts,
           const std::size_t i = li * kIssueWidths.size() + wi;
           lc.keys[i] = study_cell_key(w, kLevels[li], MachineModel::issue(kIssueWidths[wi]),
                                       copts);
-          if (auto payload = cache->lookup(lc.keys[i])) {
-            if (decode_cell(*payload, lc.cells[i])) {
-              lc.missed[i] = false;
-              continue;
-            }
-            cache->invalidate(lc.keys[i]);  // stale/corrupted entry: recompute, rewrite
+          if (auto hit = engine::memo_lookup(*cache, lc.keys[i], kCellCodec)) {
+            lc.cells[i] = std::move(*hit);
+            lc.missed[i] = false;
           }
         }
     }
@@ -318,7 +321,8 @@ void run_level_job(const Workload& w, std::size_t li, engine::ResultCache* cache
           strformat("%s/%s/w%d", w.name.c_str(), level_name(level), width), "cell");
       try {
         lc.cells[i] = run_leaf(w, *lv, level, MachineModel::issue(width));
-        if (cache != nullptr) cache->store(lc.keys[i], encode_cell(lc.cells[i]));
+        if (cache != nullptr)
+          engine::memo_store(*cache, lc.keys[i], kCellCodec, lc.cells[i]);
       } catch (const std::exception& e) {
         fail_threw(lc, i, i + 1, e);
       }

@@ -2,12 +2,15 @@
 
 #include <cinttypes>
 
+#include <algorithm>
 #include <chrono>
 #include <cstdlib>
-#include <cstring>
 #include <filesystem>
 #include <future>
+#include <stdexcept>
 #include <thread>
+#include <tuple>
+#include <type_traits>
 #include <vector>
 
 #include "engine/trace.hpp"
@@ -23,17 +26,75 @@
 
 namespace ilp::server {
 
-// Future value of one admitted cell; errors are values, never exceptions, so
-// cleanup and accounting stay on one code path.
-struct Service::CellOutcome {
+namespace {
+using Clock = std::chrono::steady_clock;
+}  // namespace
+
+// What one memoised computation settles to, and what its joiners receive: a
+// cell (resp), a baseline (resp.cycles) or a whole search (tune_json).
+// Errors are values, never exceptions, so cleanup and accounting stay on one
+// code path.
+struct Service::Outcome {
   bool ok = false;
   ErrorKind err = ErrorKind::Internal;
   std::string message;
   CompileResponse resp;
+  std::string tune_json;  // "tune-result-v1" object of a search
+  bool stopped_early = false;
+
+  static Outcome failure(ErrorKind kind, std::string message) {
+    Outcome out;
+    out.err = kind;
+    out.message = std::move(message);
+    return out;
+  }
 };
 
-struct Service::Inflight {
-  std::shared_future<CellOutcome> future;
+struct Service::Flight {
+  std::shared_future<Outcome> future;
+};
+
+struct Service::Memoized {
+  Outcome out;
+  Via via = Via::Computed;
+};
+
+// A work request's claim on the service: the cells it reserves, whether it
+// also takes a search slot, and its deadline.  The deadline counts from when
+// the line was read, so the dispatch-ring wait is part of it.
+struct Service::Ticket {
+  std::int64_t deadline_ms = 0;  // 0: none
+  std::uint64_t queued_ns = 0;
+  Clock::time_point end;  // when the deadline fires
+  std::size_t cells = 1;
+  bool search = false;
+
+  // Clients may ask for any non-negative deadline; one beyond ten years is
+  // capped so the time-point arithmetic cannot overflow.
+  Ticket(std::int64_t ms, std::uint64_t queued, Clock::time_point dequeued)
+      : deadline_ms(ms),
+        queued_ns(queued),
+        end(dequeued - std::chrono::nanoseconds(queued) +
+            std::chrono::milliseconds(std::min<std::int64_t>(ms, 315'360'000'000))) {}
+
+  // The ring wait alone used up the deadline.
+  [[nodiscard]] bool spent_queued() const {
+    return deadline_ms > 0 &&
+           static_cast<std::int64_t>(queued_ns / 1'000'000) >= deadline_ms;
+  }
+  [[nodiscard]] bool expired() const {
+    return deadline_ms > 0 && Clock::now() >= end;
+  }
+  // Waits for `f` until the deadline; false when the deadline fired first.
+  template <typename Future>
+  [[nodiscard]] bool wait(const Future& f) const {
+    return deadline_ms <= 0 || f.wait_until(end) != std::future_status::timeout;
+  }
+  [[nodiscard]] Outcome exceeded() const {
+    return Outcome::failure(ErrorKind::DeadlineExceeded,
+                            strformat("deadline of %lld ms exceeded",
+                                      static_cast<long long>(deadline_ms)));
+  }
 };
 
 // Per-request observability state, alive for the whole request: autotune's
@@ -58,8 +119,6 @@ struct Service::RequestObs {
 
 namespace {
 
-using Clock = std::chrono::steady_clock;
-
 std::optional<ErrorKind> parse_error_kind(std::string_view name) {
   for (const ErrorKind k :
        {ErrorKind::BadRequest, ErrorKind::Overloaded, ErrorKind::ShuttingDown,
@@ -69,115 +128,137 @@ std::optional<ErrorKind> parse_error_kind(std::string_view name) {
   return std::nullopt;
 }
 
+Workload adhoc_workload(const std::string& source) {
+  Workload w;
+  w.name = "adhoc";
+  w.source = source;
+  return w;
+}
+
 // Cache payload schema for one served cell.  Versioned like the study cells:
 // an unknown prefix (including pre-observability "ilpd-v1"/"ilpd-v2" entries,
 // "ilpd-v3" ones, which lack the nest-restructuring counters, and "ilpd-v4"
 // ones, which lack the stall-accounting tail) decodes as a miss, never as
-// garbage.  The v5 tail is the ProfileSummary: width, cycles, the six
-// per-cause slot totals, then the occupancy histogram (count-prefixed).
-std::string encode_cell(const Service::CellOutcome& c) {
+// garbage.  An ok payload is "ilpd-v5 ok" and the decimal fields below, then
+// the ProfileSummary's six per-cause slot totals and its occupancy
+// histogram (count-prefixed).
+template <typename Response, typename Sched>
+auto cell_fields(Response& r, Sched& sched) {
+  auto& t = r.transforms;
+  auto& m = t.modulo;
+  return std::tie(r.cycles, r.base_cycles, r.dynamic_instructions, r.stall_cycles,
+                  r.static_instructions, r.blocks, r.int_regs, r.fp_regs,
+                  t.loops_unrolled, t.regs_renamed, t.accs_expanded, t.inds_expanded,
+                  t.searches_expanded, t.ops_combined, t.strength_reduced,
+                  t.trees_rebalanced, t.loops_interchanged, t.loops_fused,
+                  t.loops_fissioned, t.loops_tiled, t.ir_insts_before, t.ir_insts_after,
+                  sched, m.loops_pipelined, m.loops_fallback, m.backtracks, m.min_ii_sum,
+                  m.achieved_ii_sum, m.max_stages, r.profile.width, r.profile.cycles);
+}
+
+std::string encode_cell(const Service::Outcome& c) {
   if (!c.ok)
     return strformat("ilpd-v5 err %s %s", error_kind_name(c.err), c.message.c_str());
-  const CompileResponse& r = c.resp;
-  const TransformStats& t = r.transforms;
-  std::string s =
-      strformat("ilpd-v5 ok %" PRIu64 " %" PRIu64 " %" PRIu64 " %" PRIu64
-                " %d %d %d %d %d %d %d %d %d %d %d %d %d %d %d %d %zu %zu"
-                " %d %d %d %d %d %d %d",
-                r.cycles, r.base_cycles, r.dynamic_instructions, r.stall_cycles,
-                r.static_instructions, r.blocks, r.int_regs, r.fp_regs,
-                t.loops_unrolled, t.regs_renamed, t.accs_expanded,
-                t.inds_expanded, t.searches_expanded, t.ops_combined,
-                t.strength_reduced, t.trees_rebalanced, t.loops_interchanged,
-                t.loops_fused, t.loops_fissioned, t.loops_tiled,
-                t.ir_insts_before, t.ir_insts_after, static_cast<int>(r.scheduler),
-                t.modulo.loops_pipelined, t.modulo.loops_fallback,
-                t.modulo.backtracks, t.modulo.min_ii_sum,
-                t.modulo.achieved_ii_sum, t.modulo.max_stages);
-  const ProfileSummary& p = r.profile;
-  s += strformat(" %d %" PRIu64, p.width, p.cycles);
-  for (const std::uint64_t v : p.slots) s += strformat(" %" PRIu64, v);
-  s += strformat(" %zu", p.occupancy.size());
-  for (const std::uint64_t v : p.occupancy) s += strformat(" %" PRIu64, v);
+  std::string s = "ilpd-v5 ok";
+  auto put = [&s](auto v) {
+    s += ' ';
+    s += std::to_string(v);
+  };
+  const int sched = static_cast<int>(c.resp.scheduler);
+  std::apply([&](const auto&... v) { (put(v), ...); }, cell_fields(c.resp, sched));
+  const ProfileSummary& p = c.resp.profile;
+  for (const std::uint64_t v : p.slots) put(v);
+  put(p.occupancy.size());
+  for (const std::uint64_t v : p.occupancy) put(v);
   return s;
 }
 
-bool decode_cell(const std::string& payload, Service::CellOutcome& out) {
+bool decode_cell(const std::string& payload, Service::Outcome& out) {
   if (payload.rfind("ilpd-v5 err ", 0) == 0) {
     const std::string rest = payload.substr(12);
     const std::size_t sp = rest.find(' ');
     if (sp == std::string::npos) return false;
     const auto kind = parse_error_kind(rest.substr(0, sp));
     if (!kind) return false;
-    out = Service::CellOutcome{};
-    out.err = *kind;
-    out.message = rest.substr(sp + 1);
+    out = Service::Outcome::failure(*kind, rest.substr(sp + 1));
     return true;
   }
-  Service::CellOutcome c;
-  CompileResponse& r = c.resp;
-  TransformStats& t = r.transforms;
-  int sched_kind = 0;
-  int consumed = 0;
-  if (std::sscanf(payload.c_str(),
-                  "ilpd-v5 ok %" SCNu64 " %" SCNu64 " %" SCNu64 " %" SCNu64
-                  " %d %d %d %d %d %d %d %d %d %d %d %d %d %d %d %d %zu %zu"
-                  " %d %d %d %d %d %d %d%n",
-                  &r.cycles, &r.base_cycles, &r.dynamic_instructions, &r.stall_cycles,
-                  &r.static_instructions, &r.blocks, &r.int_regs, &r.fp_regs,
-                  &t.loops_unrolled, &t.regs_renamed, &t.accs_expanded,
-                  &t.inds_expanded, &t.searches_expanded, &t.ops_combined,
-                  &t.strength_reduced, &t.trees_rebalanced, &t.loops_interchanged,
-                  &t.loops_fused, &t.loops_fissioned, &t.loops_tiled,
-                  &t.ir_insts_before, &t.ir_insts_after, &sched_kind,
-                  &t.modulo.loops_pipelined, &t.modulo.loops_fallback,
-                  &t.modulo.backtracks, &t.modulo.min_ii_sum,
-                  &t.modulo.achieved_ii_sum, &t.modulo.max_stages, &consumed) != 29)
-    return false;
-  const char* q = payload.c_str() + consumed;
-  auto next_u64 = [&q](std::uint64_t& v) {
+  constexpr std::string_view kOk = "ilpd-v5 ok ";
+  if (payload.rfind(kOk, 0) != 0) return false;
+  const char* q = payload.c_str() + kOk.size();
+  auto get = [&q](auto& v) {
+    using T = std::remove_reference_t<decltype(v)>;
     char* end = nullptr;
-    v = std::strtoull(q, &end, 10);
+    if constexpr (std::is_signed_v<T>)
+      v = static_cast<T>(std::strtoll(q, &end, 10));
+    else
+      v = static_cast<T>(std::strtoull(q, &end, 10));
     if (end == q) return false;
     q = end;
     return true;
   };
+  Service::Outcome c;
+  CompileResponse& r = c.resp;
   ProfileSummary& p = r.profile;
-  std::uint64_t width = 0, occ_count = 0;
-  if (!next_u64(width) || !next_u64(p.cycles)) return false;
-  p.width = static_cast<int>(width);
+  int sched = 0;
+  std::uint64_t occ_count = 0;
+  if (!std::apply([&](auto&... v) { return (get(v) && ...); }, cell_fields(r, sched)))
+    return false;
   for (std::uint64_t& v : p.slots)
-    if (!next_u64(v)) return false;
+    if (!get(v)) return false;
   // Occupancy is width + 1 bins by construction; a tail claiming more is a
   // corrupt payload, not a larger machine.
-  if (!next_u64(occ_count) || occ_count != width + 1) return false;
+  if (!get(occ_count) || occ_count != static_cast<std::uint64_t>(p.width) + 1 ||
+      occ_count > payload.size())
+    return false;
   p.occupancy.resize(occ_count);
   for (std::uint64_t& v : p.occupancy)
-    if (!next_u64(v)) return false;
-  r.scheduler = sched_kind == 1 ? SchedulerKind::Modulo : SchedulerKind::List;
+    if (!get(v)) return false;
+  r.scheduler = sched == 1 ? SchedulerKind::Modulo : SchedulerKind::List;
   c.ok = true;
   r.have_transforms = true;
   r.speedup = r.cycles == 0 ? 0.0
                             : static_cast<double>(r.base_cycles) /
                                   static_cast<double>(r.cycles);
-  out = c;
+  out = std::move(c);
   return true;
 }
 
-// Content hash of one autotune search: source + every search knob, salted in
-// the shared version domain so a knob bump rolls the whole-result cache over
-// with the cells.
-std::uint64_t tune_request_key(const std::string& source, const AutotuneRequest& a) {
-  engine::HashStream h;
-  hash_domain_salt(h, "ilpd-tune");
-  h.str(source);
-  h.i32(a.issue).i32(a.beam).i32(a.rounds).i32(a.max_sims);
-  std::uint64_t frac_bits = 0;
-  static_assert(sizeof(frac_bits) == sizeof(a.sim_fraction));
-  std::memcpy(&frac_bits, &a.sim_fraction, sizeof(frac_bits));
-  h.u64(frac_bits);
-  h.boolean(a.cost_model);
-  return h.digest();
+// A deadline-hit cell (its deadline fired inside debug_sleep_ms) was never
+// computed, so it is never stored.
+constexpr engine::Codec<Service::Outcome> kCellCodec{
+    encode_cell, decode_cell,
+    [](const Service::Outcome& c) {
+      return !c.ok && c.err == ErrorKind::DeadlineExceeded;
+    }};
+
+// The baseline payload is the bare cycle count.
+constexpr engine::Codec<Service::Outcome> kBaseCodec{
+    [](const Service::Outcome& b) { return strformat("%" PRIu64, b.resp.cycles); },
+    [](const std::string& payload, Service::Outcome& out) {
+      out.ok = std::sscanf(payload.c_str(), "%" SCNu64, &out.resp.cycles) == 1;
+      return out.ok;
+    },
+    [](const Service::Outcome& b) { return !b.ok; }};
+
+// Whole autotune results: the "tune-result-v1" JSON object behind a prefix,
+// replayed verbatim on a hit.  Only complete searches are stored: a
+// deadline-truncated one must not shadow the full answer for the next
+// identical request.
+constexpr std::string_view kTunePayloadPrefix = "ilpd-tune-v1 ";
+constexpr engine::Codec<Service::Outcome> kSearchCodec{
+    [](const Service::Outcome& s) { return std::string(kTunePayloadPrefix) + s.tune_json; },
+    [](const std::string& payload, Service::Outcome& out) {
+      out.ok = payload.rfind(kTunePayloadPrefix, 0) == 0;
+      if (out.ok) out.tune_json = payload.substr(kTunePayloadPrefix.size());
+      return out.ok;
+    },
+    [](const Service::Outcome& s) { return !s.ok || s.stopped_early; }};
+
+// Content hash of one compile cell; every verb's cells key through here.
+std::uint64_t cell_key(const std::string& source, const CompileRequest& c) {
+  return service_cell_key(source, c.level, c.transforms, c.nest, c.scheduler,
+                          c.issue, c.unroll, c.debug_sleep_ms);
 }
 
 Reply flat_reply(std::string line) {
@@ -186,45 +267,125 @@ Reply flat_reply(std::string line) {
   return r;
 }
 
-// Cache payload prefix for whole autotune results: the stored body is the
-// "tune-result-v1" JSON object, replayed verbatim on a warm hit.
-constexpr std::string_view kTunePayloadPrefix = "ilpd-tune-v1 ";
+// Converts a service cell into the tuner's measurement, enforcing the
+// conservation identity on the cached ProfileSummary — a result whose slot
+// accounting does not close must never rank, let alone win.
+tune::Evaluator::Measurement to_measurement(const Service::Outcome& cell,
+                                            bool cache_hit) {
+  tune::Evaluator::Measurement m;
+  m.cache_hit = cache_hit;
+  if (!cell.ok) {
+    m.error = cell.message;
+    return m;
+  }
+  const ProfileSummary& p = cell.resp.profile;
+  std::uint64_t total = 0;
+  for (const std::uint64_t v : p.slots) total += v;
+  if (total != static_cast<std::uint64_t>(p.width) * p.cycles) {
+    m.error = "profile summary conservation violated";
+    return m;
+  }
+  m.ok = true;
+  m.cycles = cell.resp.cycles;
+  m.mem_wait =
+      total == 0
+          ? 0.0
+          : static_cast<double>(p.slots[static_cast<std::size_t>(StallCause::MemWait)]) /
+                static_cast<double>(total);
+  return m;
+}
+
+// Reserves `n` of `limit` on `used`, or fails without blocking.
+bool reserve(std::atomic<std::size_t>& used, std::size_t n, std::size_t limit) {
+  std::size_t cur = used.load(std::memory_order_relaxed);
+  while (cur + n <= limit)
+    if (used.compare_exchange_weak(cur, cur + n, std::memory_order_acq_rel,
+                                   std::memory_order_relaxed))
+      return true;
+  return false;
+}
 
 }  // namespace
 
-// Conv @ issue-1 cycles of `source` — the paper's speedup baseline.  Cached
-// under its own key: every level/width of the same source shares one entry.
+template <typename Compute>
+Service::Memoized Service::memo(std::uint64_t key, const engine::Codec<Outcome>& codec,
+                                const Ticket* ticket, Compute&& compute) {
+  Shard& sh = shard_for(key);
+  if (auto hit = engine::memo_lookup(*sh.cache, key, codec))
+    return {std::move(*hit), Via::Hit};
+
+  std::shared_ptr<Flight> flight;
+  std::promise<Outcome> settle;
+  std::optional<Outcome> refusal;
+  bool owner = false;
+  {
+    std::lock_guard<std::mutex> lock(sh.mu);
+    if (auto it = sh.inflight.find(key); it != sh.inflight.end()) {
+      flight = it->second;
+    } else if (ticket == nullptr || !(refusal = admit(*ticket))) {
+      flight = std::make_shared<Flight>(Flight{settle.get_future().share()});
+      sh.inflight.emplace(key, flight);
+      owner = true;
+    }
+  }
+  if (refusal) return {std::move(*refusal), Via::Refused};
+  if (!owner) {
+    if (ticket != nullptr && !ticket->wait(flight->future))
+      return {ticket->exceeded(), Via::Joined};
+    return {flight->future.get(), Via::Joined};
+  }
+
+  Memoized m;
+  // Look again now that the key is registered: a twin can finish (store,
+  // then erase, in that order) between the miss above and the registration,
+  // and the registration lock orders this lookup after its store — so each
+  // key computes exactly once.
+  if (auto hit = engine::memo_lookup(*sh.cache, key, codec)) {
+    m = {std::move(*hit), Via::Hit};
+  } else {
+    try {
+      m.out = compute();
+    } catch (const std::exception& e) {
+      m.out = Outcome::failure(ErrorKind::Internal,
+                               strformat("computation threw: %s", e.what()));
+    }
+    engine::memo_store(*sh.cache, key, codec, m.out);
+  }
+  settle.set_value(m.out);
+  {
+    std::lock_guard<std::mutex> lock(sh.mu);
+    sh.inflight.erase(key);
+  }
+  if (ticket != nullptr) release(*ticket);
+  return m;
+}
+
+// Conv @ issue-1 cycles of `source` — the paper's speedup baseline, shared
+// by every level and width of the source.  0 when the source does not
+// compile or simulate.
 std::uint64_t Service::base_cycles_for(const std::string& source) {
-  engine::HashStream h;
-  h.str("ilpd-base-v1");
-  h.str(source);
-  const std::uint64_t key = h.digest();
-  engine::ResultCache& cache = cache_for(key);
-  if (auto payload = cache.lookup(key)) {
-    std::uint64_t cycles = 0;
-    if (std::sscanf(payload->c_str(), "%" SCNu64, &cycles) == 1) return cycles;
-    cache.invalidate(key);
-  }
-  Workload w;
-  w.name = "adhoc";
-  w.source = source;
-  std::uint64_t cycles = 0;
-  auto compiled = try_compile_workload(w, OptLevel::Conv, MachineModel::issue(1));
-  if (compiled) {
-    auto sim = try_simulate_cycles(compiled->fn, MachineModel::issue(1));
-    if (sim) cycles = *sim;
-  }
-  cache.store(key, strformat("%" PRIu64, cycles));
-  return cycles;
+  auto compute = [&source] {
+    Outcome out;
+    out.ok = true;
+    const MachineModel m = MachineModel::issue(1);
+    auto compiled = try_compile_workload(adhoc_workload(source), OptLevel::Conv, m);
+    if (compiled) {
+      auto sim = try_simulate_cycles(compiled->fn, m);
+      if (sim) out.resp.cycles = *sim;
+    }
+    return out;
+  };
+  const Outcome base = memo(service_base_key(source), kBaseCodec, nullptr, compute).out;
+  // Only a throw fails it; the cell that asked fails with it.
+  if (!base.ok) throw std::runtime_error(base.message);
+  return base.resp.cycles;
 }
 
 // Compile + simulate one cell (no cache, no accounting — callers own both).
 // Phase wall times land in the server.phase.* histograms; the transformation
 // counters land in the response.
-Service::CellOutcome Service::compute_cell(
-    const std::string& source, OptLevel level,
-    const std::optional<TransformSet>& transforms, const NestOptions& nest,
-    SchedulerKind scheduler, int issue, int unroll) {
+Service::Outcome Service::compute_cell(const std::string& source,
+                                       const CompileRequest& c) {
   static obs::Histogram& compile_hist =
       engine::MetricsRegistry::global().histogram("server.phase.compile");
   static obs::Histogram& schedule_hist =
@@ -232,19 +393,17 @@ Service::CellOutcome Service::compute_cell(
   static obs::Histogram& simulate_hist =
       engine::MetricsRegistry::global().histogram("server.phase.simulate");
 
-  Service::CellOutcome out;
-  const MachineModel m = MachineModel::issue(issue);
+  Outcome out;
+  const MachineModel m = MachineModel::issue(c.issue);
   CompileOptions opts;
-  opts.unroll.max_factor = unroll;
-  opts.nest = nest;
-  opts.scheduler = scheduler;
+  opts.unroll.max_factor = c.unroll;
+  opts.nest = c.nest;
+  opts.scheduler = c.scheduler;
 
   TransformStats tstats;
   engine::Stopwatch compile_watch;
-  Workload w;
-  w.name = "adhoc";
-  w.source = source;
-  auto compiled = try_compile_workload(w, level, m, opts, &tstats, transforms);
+  auto compiled = try_compile_workload(adhoc_workload(source), c.level, m, opts, &tstats,
+                                       c.transforms);
   if (!compiled) {
     out.err = ErrorKind::CompileError;
     out.message = compiled.error_message();
@@ -314,7 +473,7 @@ Service::CellOutcome Service::compute_cell(
   r.fp_regs = regs.fp_regs;
   r.have_transforms = true;
   r.transforms = tstats;
-  r.scheduler = scheduler;
+  r.scheduler = c.scheduler;
   r.base_cycles = base_cycles_for(source);
   r.speedup = r.cycles == 0 ? 0.0
                             : static_cast<double>(r.base_cycles) /
@@ -322,78 +481,6 @@ Service::CellOutcome Service::compute_cell(
   return out;
 }
 
-// --- Autotune plumbing ------------------------------------------------------
-
-// Future value of one whole autotune search (the coalescing unit).
-struct Service::TuneOutcome {
-  bool ok = false;
-  ErrorKind err = ErrorKind::Internal;
-  std::string message;
-  std::string result_json;  // "tune-result-v1" object when ok
-  bool stopped_early = false;
-};
-
-struct Service::TuneInflight {
-  std::shared_future<TuneOutcome> future;
-};
-
-Service::CellOutcome Service::cached_cell(
-    std::uint64_t key, const std::string& source, OptLevel level,
-    const std::optional<TransformSet>& transforms, const NestOptions& nest,
-    SchedulerKind scheduler, int issue, int unroll, bool* cache_hit) {
-  engine::ResultCache& cache = cache_for(key);
-  if (auto payload = cache.lookup(key)) {
-    CellOutcome hit;
-    if (decode_cell(*payload, hit)) {
-      if (cache_hit != nullptr) *cache_hit = true;
-      return hit;
-    }
-    cache.invalidate(key);
-  }
-  CellOutcome out;
-  try {
-    out = compute_cell(source, level, transforms, nest, scheduler, issue, unroll);
-  } catch (const std::exception& e) {
-    out.ok = false;
-    out.err = ErrorKind::Internal;
-    out.message = strformat("cell threw: %s", e.what());
-  }
-  cache.store(key, encode_cell(out));
-  bump(kCellsExecuted);
-  return out;
-}
-
-namespace {
-
-// Converts a service cell into the tuner's measurement, enforcing the
-// conservation identity on the cached ProfileSummary — a result whose slot
-// accounting does not close must never rank, let alone win.
-tune::Evaluator::Measurement to_measurement(const Service::CellOutcome& cell,
-                                            bool cache_hit) {
-  tune::Evaluator::Measurement m;
-  m.cache_hit = cache_hit;
-  if (!cell.ok) {
-    m.error = cell.message;
-    return m;
-  }
-  const ProfileSummary& p = cell.resp.profile;
-  std::uint64_t total = 0;
-  for (const std::uint64_t v : p.slots) total += v;
-  if (total != static_cast<std::uint64_t>(p.width) * p.cycles) {
-    m.error = "profile summary conservation violated";
-    return m;
-  }
-  m.ok = true;
-  m.cycles = cell.resp.cycles;
-  m.mem_wait =
-      total == 0
-          ? 0.0
-          : static_cast<double>(p.slots[static_cast<std::size_t>(StallCause::MemWait)]) /
-                static_cast<double>(total);
-  return m;
-}
-
-}  // namespace
 
 Service::Service(ServiceConfig cfg)
     : cfg_(std::move(cfg)),
@@ -436,13 +523,6 @@ std::size_t Service::shard_index(std::uint64_t key) const {
   // Fibonacci-mix the digest so structured keys still spread evenly.
   return static_cast<std::size_t>((key * 0x9E3779B97F4A7C15ull) >> 32) %
          shards_.size();
-}
-
-void Service::hot_insert(Shard& sh, std::uint64_t key,
-                         std::shared_ptr<const CompileBody> body) {
-  if (cfg_.hot_entries_per_shard == 0) return;
-  if (sh.hot.size() >= cfg_.hot_entries_per_shard) sh.hot.clear();
-  sh.hot[key] = std::move(body);
 }
 
 void Service::begin_drain() {
@@ -501,18 +581,32 @@ engine::CacheStats Service::cache_stats() const {
   return total;
 }
 
-bool Service::try_admit(std::size_t n) {
-  std::size_t cur = inflight_cells_.load(std::memory_order_relaxed);
-  while (cur + n <= capacity_)
-    if (inflight_cells_.compare_exchange_weak(cur, cur + n,
-                                              std::memory_order_acq_rel,
-                                              std::memory_order_relaxed))
-      return true;
-  return false;
+std::optional<Service::Outcome> Service::admit(const Ticket& t) {
+  if (t.spent_queued()) return t.exceeded();
+  if (t.search && !reserve(tune_jobs_, 1, cfg_.tune_job_limit)) {
+    obs::Logger::global().warn_rate_limited(
+        "overloaded", "autotune rejected: job limit reached",
+        {obs::field("limit", cfg_.tune_job_limit)});
+    return Outcome::failure(ErrorKind::Overloaded,
+                            strformat("autotune job limit reached (%zu searches in flight)",
+                                      cfg_.tune_job_limit));
+  }
+  if (!reserve(inflight_cells_, t.cells, capacity_)) {
+    if (t.search) tune_jobs_.fetch_sub(1, std::memory_order_relaxed);
+    obs::Logger::global().warn_rate_limited(
+        "overloaded", "request rejected: admission queue full",
+        {obs::field("cells", t.cells), obs::field("capacity", capacity_)});
+    return Outcome::failure(
+        ErrorKind::Overloaded,
+        strformat("admission queue full (%zu in flight + %zu requested > capacity %zu)",
+                  inflight_cells(), t.cells, capacity_));
+  }
+  return std::nullopt;
 }
 
-void Service::settle_cells(std::size_t n) {
-  if (inflight_cells_.fetch_sub(n, std::memory_order_acq_rel) == n) {
+void Service::release(const Ticket& t) {
+  if (t.search) tune_jobs_.fetch_sub(1, std::memory_order_relaxed);
+  if (inflight_cells_.fetch_sub(t.cells, std::memory_order_acq_rel) == t.cells) {
     // Notify under the drain lock so a waiter between its predicate check
     // and its sleep cannot miss the wakeup.
     std::lock_guard<std::mutex> lock(drain_mu_);
@@ -531,6 +625,13 @@ Service::Counter Service::error_counter(ErrorKind kind) {
     case ErrorKind::Internal: break;
   }
   return kInternalErrors;
+}
+
+std::string Service::refuse(const std::string& id_json, const Outcome& out) {
+  bump(error_counter(out.err));
+  obs::log_debug("request failed", {obs::field("kind", error_kind_name(out.err)),
+                                    obs::field("message", out.message)});
+  return serialize_error(id_json, out.err, out.message);
 }
 
 std::string Service::write_request_trace(const RequestObs& ro) const {
@@ -569,8 +670,7 @@ Service::ParsedRequest Service::parse_and_route(const std::string& line) const {
   } else {
     p.source = c.source;
   }
-  p.cell_key = service_cell_key(p.source, c.level, c.transforms, c.nest,
-                                c.scheduler, c.issue, c.unroll, c.debug_sleep_ms);
+  p.cell_key = cell_key(p.source, c);
   p.has_key = true;
   p.shard = shard_index(p.cell_key);
   return p;
@@ -607,11 +707,10 @@ Reply Service::serve_parsed(ParsedRequest p, std::uint64_t queued_ns) {
     case RequestKind::Compile:
     case RequestKind::Batch:
     case RequestKind::Autotune: {
-      if (draining()) {
-        bump(kShuttingDown);
-        return flat_reply(serialize_error(req.id_json, ErrorKind::ShuttingDown,
-                                    "drain in progress; no new work accepted"));
-      }
+      if (draining())
+        return flat_reply(refuse(
+            req.id_json, Outcome::failure(ErrorKind::ShuttingDown,
+                                          "drain in progress; no new work accepted")));
       const bool wants_trace =
           (req.kind == RequestKind::Compile && req.compile.trace) ||
           (req.kind == RequestKind::Autotune && req.autotune.trace);
@@ -623,36 +722,48 @@ Reply Service::serve_parsed(ParsedRequest p, std::uint64_t queued_ns) {
       if (wants_trace && !traced)
         obs::Logger::global().warn_rate_limited(
             "trace_untraceable", "trace requested but no --trace-dir configured");
+      const std::int64_t asked =
+          req.kind == RequestKind::Compile ? req.compile.deadline_ms
+          : req.kind == RequestKind::Batch ? req.batch.deadline_ms
+                                           : req.autotune.deadline_ms;
+      Ticket ticket(asked > 0 ? asked : cfg_.default_deadline_ms, queued_ns,
+                    ro.wall.start());
+      ticket.search = req.kind == RequestKind::Autotune;
       obs::RequestScope scope(&ro.ctx);
       obs::log_debug(req.kind == RequestKind::Compile  ? "compile request"
                      : req.kind == RequestKind::Batch ? "batch request"
                                                       : "autotune request");
       Reply r = req.kind == RequestKind::Compile
-                    ? handle_compile(p, ro, queued_ns)
+                    ? handle_compile(p, ro, ticket)
                 : req.kind == RequestKind::Autotune
-                    ? flat_reply(handle_autotune(req, ro))
-                    : flat_reply(handle_batch(req));
+                    ? flat_reply(handle_autotune(req, ro, ticket))
+                    : flat_reply(handle_batch(req, ticket));
       latency_hist_.record(ro.wall.nanos());
       return r;
     }
   }
-  bump(kInternalErrors);
-  return flat_reply(
-      serialize_error(req.id_json, ErrorKind::Internal, "unhandled request kind"));
+  return flat_reply(refuse(req.id_json, Outcome::failure(ErrorKind::Internal,
+                                                         "unhandled request kind")));
 }
 
-Reply Service::handle_compile(const ParsedRequest& p,
-                              const RequestObs& ro,
-                              std::uint64_t queued_ns) {
+Service::Memoized Service::cell(std::uint64_t key, const std::string& source,
+                                const CompileRequest& c, const Ticket* ticket) {
+  return memo(key, kCellCodec, ticket, [&] {
+    // debug_sleep stands in for long compute and honors the deadline.
+    const auto sleep_end = Clock::now() + std::chrono::milliseconds(c.debug_sleep_ms);
+    while (Clock::now() < sleep_end) {
+      if (ticket != nullptr && ticket->expired()) return ticket->exceeded();
+      std::this_thread::sleep_for(std::chrono::milliseconds(2));
+    }
+    bump(kCellsExecuted);
+    return compute_cell(source, c);
+  });
+}
+
+Reply Service::handle_compile(const ParsedRequest& p, const RequestObs& ro,
+                              const Ticket& ticket) {
   const Request& req = *p.req;
   const CompileRequest& c = req.compile;
-  auto respond_error = [&](const CellOutcome& out) {
-    bump(error_counter(out.err));
-    obs::log_debug("compile request failed",
-                   {obs::field("kind", error_kind_name(out.err)),
-                    obs::field("message", out.message)});
-    return flat_reply(serialize_error(req.id_json, out.err, out.message));
-  };
   auto segment_reply = [&](std::shared_ptr<const CompileBody> body, bool cached) {
     bump(kOk);
     Reply r;
@@ -663,12 +774,11 @@ Reply Service::handle_compile(const ParsedRequest& p,
     return r;
   };
 
-  if (!c.workload.empty() && p.source.empty()) {
-    bump(kBadRequest);
-    return flat_reply(serialize_error(
-        req.id_json, ErrorKind::BadRequest,
-        strformat("unknown workload '%s'", c.workload.c_str())));
-  }
+  if (!c.workload.empty() && p.source.empty())
+    return flat_reply(refuse(req.id_json,
+                             Outcome::failure(ErrorKind::BadRequest,
+                                              strformat("unknown workload '%s'",
+                                                        c.workload.c_str()))));
   const std::uint64_t key = p.cell_key;
   // Pre-serialized bodies differ between profiled and unprofiled responses
   // (the "profile" field lives in the shared `post` segment), so the hot
@@ -677,7 +787,7 @@ Reply Service::handle_compile(const ParsedRequest& p,
   // carries its summary and the flag only gates serialization.
   const std::uint64_t hot_key = c.profile ? hot_profile_variant(key) : key;
   Shard& sh = *shards_[p.shard];
-  queue_wait_hist_.record(queued_ns);
+  queue_wait_hist_.record(ticket.queued_ns);
 
   // Hot tier: the response segments for this cell were already built — the
   // reply is three pointer copies, serialized (or writev'd) at write time.
@@ -690,147 +800,36 @@ Reply Service::handle_compile(const ParsedRequest& p,
     }
   }
 
-  // Result-cache tier (memory partition, then shared disk).  A decoded hit
-  // is pre-serialized once and promoted into the hot tier.
-  if (auto payload = sh.cache->lookup(key)) {
-    CellOutcome out;
-    if (decode_cell(*payload, out)) {
-      if (out.ok) {
-        out.resp.have_profile = c.profile;
-        auto body =
-            std::make_shared<const CompileBody>(serialize_compile_body(out.resp));
-        {
-          std::lock_guard<std::mutex> lock(sh.mu);
-          hot_insert(sh, hot_key, body);
-        }
-        return segment_reply(std::move(body), /*cached=*/true);
-      }
-      return respond_error(out);
-    }
-    sh.cache->invalidate(key);
-  }
-
-  const std::int64_t deadline_ms =
-      c.deadline_ms > 0 ? c.deadline_ms : cfg_.default_deadline_ms;
-  const std::int64_t queued_ms = static_cast<std::int64_t>(queued_ns / 1'000'000);
-  auto deadline_reply = [&]() {
-    bump(kDeadlineExceeded);
-    obs::log_debug("deadline exceeded while waiting",
-                   {obs::field("deadline_ms", deadline_ms)});
-    return flat_reply(serialize_error(req.id_json, ErrorKind::DeadlineExceeded,
-                                      strformat("deadline of %lld ms exceeded",
-                                                static_cast<long long>(deadline_ms))));
-  };
-  // The dispatch ring is the admission queue: a line whose ring wait already
-  // consumed its whole deadline is cancelled-while-queued, before it can
-  // occupy an admission slot.
-  if (deadline_ms > 0 && queued_ms >= deadline_ms) return deadline_reply();
-
-  // Join an identical in-flight cell (it can only be executing on another
-  // thread — identical keys on THIS shard's ring are processed serially), or
-  // admit and execute inline.
-  std::shared_ptr<Inflight> entry;
-  std::promise<CellOutcome> settle_promise;
-  bool executor = false;
-  {
-    std::lock_guard<std::mutex> lock(sh.mu);
-    auto it = sh.inflight.find(key);
-    if (it != sh.inflight.end()) {
-      entry = it->second;
-    } else if (try_admit(1)) {
-      entry = std::make_shared<Inflight>();
-      entry->future = settle_promise.get_future().share();
-      sh.inflight.emplace(key, entry);
-      executor = true;
-    }
-  }
-  if (entry == nullptr) {
-    bump(kOverloaded);
-    obs::Logger::global().warn_rate_limited(
-        "overloaded", "request rejected: admission queue full",
-        {obs::field("capacity", capacity_)});
-    return flat_reply(serialize_error(
-        req.id_json, ErrorKind::Overloaded,
-        strformat("admission queue full (%zu cells in flight, capacity %zu)",
-                  inflight_cells(), capacity_)));
-  }
-
-  // Joiners share the executor's outcome but not its spans: only the
-  // executor writes a request trace.
-  if (!executor) {
-    bump(kCoalesced);
-    if (deadline_ms > 0 &&
-        entry->future.wait_for(std::chrono::milliseconds(deadline_ms - queued_ms)) ==
-            std::future_status::timeout)
-      return deadline_reply();
-    CellOutcome out = entry->future.get();
-    if (!out.ok) return respond_error(out);
-    bump(kOk);
-    out.resp.request_id = ro.id;
-    out.resp.have_profile = c.profile;
-    return flat_reply(serialize_compile_response(req.id_json, out.resp));
-  }
-
-  // Executor: the cell runs here, on the calling (shard worker) thread.
-  CellOutcome out;
-  bool deadline_hit = false;
-  bool raced_hit = false;
-  std::shared_ptr<const CompileBody> body;
-  {
+  Memoized m = [&] {
     obs::SpanScope span("job", "engine");
-    if (c.debug_sleep_ms > 0) {
-      // debug_sleep stands in for long compute and honors the remaining
-      // deadline budget.
-      const auto sleep_end = Clock::now() + std::chrono::milliseconds(c.debug_sleep_ms);
-      const auto deadline_end =
-          Clock::now() + std::chrono::milliseconds(deadline_ms - queued_ms);
-      while (Clock::now() < sleep_end) {
-        if (deadline_ms > 0 && Clock::now() >= deadline_end) {
-          deadline_hit = true;
-          break;
-        }
-        std::this_thread::sleep_for(std::chrono::milliseconds(2));
-      }
-    }
-    if (deadline_hit) {
-      out.err = ErrorKind::DeadlineExceeded;
-      out.message = "cancelled while queued (deadline exceeded)";
-    } else {
-      // The cache lookup inside cached_cell closes the lookup->admit race:
-      // an identical cell can finish (cache store, then inflight erase, in
-      // that order) between this request's cache miss and its admission.
-      // The admission lock synchronizes with the erase, so re-checking is
-      // guaranteed to see the twin's payload — every cell executes (and
-      // accumulates into the profile counters) exactly once.
-      out = cached_cell(key, p.source, c.level, c.transforms, c.nest, c.scheduler,
-                        c.issue, c.unroll, &raced_hit);
-      if (out.ok) {
-        out.resp.have_profile = c.profile;  // joiners re-gate from their own flag
-        body = std::make_shared<const CompileBody>(serialize_compile_body(out.resp));
-      }
-    }
-  }
-  settle_promise.set_value(out);
-  {
-    std::lock_guard<std::mutex> lock(sh.mu);
-    sh.inflight.erase(key);
-    if (body != nullptr) hot_insert(sh, hot_key, body);
-  }
-  settle_cells(1);
+    return cell(key, p.source, c, &ticket);
+  }();
+  if (m.via == Via::Joined) bump(kCoalesced);
+  // Only the request whose cell ran writes a trace; joiners and hits write
+  // none.
+  const std::string trace_file = m.via == Via::Computed ? write_request_trace(ro) : "";
+  if (!m.out.ok) return flat_reply(refuse(req.id_json, m.out));
 
-  if (deadline_hit) return deadline_reply();
-  const std::string trace_file = write_request_trace(ro);
-  if (!out.ok) return respond_error(out);
-  if (trace_file.empty()) return segment_reply(std::move(body), /*cached=*/raced_hit);
+  CompileResponse& r = m.out.resp;
+  r.have_profile = c.profile;
+  auto body = std::make_shared<const CompileBody>(serialize_compile_body(r));
+  // Promote into the hot tier, bounded: it is cleared wholesale when full.
+  if (m.via != Via::Joined && cfg_.hot_entries_per_shard > 0) {
+    std::lock_guard<std::mutex> lock(sh.mu);
+    if (sh.hot.size() >= cfg_.hot_entries_per_shard) sh.hot.clear();
+    sh.hot[hot_key] = body;
+  }
+  const bool cached = m.via == Via::Hit;
+  if (trace_file.empty()) return segment_reply(std::move(body), cached);
   // A traced reply names its trace file, so it is built whole.
   bump(kOk);
-  out.resp.request_id = ro.id;
-  out.resp.cached = raced_hit;
-  out.resp.trace_file = trace_file;
-  return flat_reply(serialize_compile_response(req.id_json, out.resp));
+  r.request_id = ro.id;
+  r.cached = cached;
+  r.trace_file = trace_file;
+  return flat_reply(serialize_compile_response(req.id_json, r));
 }
 
-std::string Service::handle_batch(const Request& req) {
+std::string Service::handle_batch(const Request& req, Ticket ticket) {
   const BatchRequest& b = req.batch;
   engine::Stopwatch elapsed;
 
@@ -841,11 +840,10 @@ std::string Service::handle_batch(const Request& req) {
   } else {
     for (const std::string& name : b.workloads) {
       const Workload* w = find_workload(name);
-      if (w == nullptr) {
-        bump(kBadRequest);
-        return serialize_error(req.id_json, ErrorKind::BadRequest,
-                               strformat("unknown workload '%s'", name.c_str()));
-      }
+      if (w == nullptr)
+        return refuse(req.id_json,
+                      Outcome::failure(ErrorKind::BadRequest,
+                                       strformat("unknown workload '%s'", name.c_str())));
       loops.push_back(w);
     }
   }
@@ -855,22 +853,12 @@ std::string Service::handle_batch(const Request& req) {
   if (widths.empty()) widths.assign(kIssueWidths.begin(), kIssueWidths.end());
 
   const std::size_t n = loops.size() * levels.size() * widths.size();
-  if (n == 0) {
-    bump(kBadRequest);
-    return serialize_error(req.id_json, ErrorKind::BadRequest, "empty batch");
-  }
+  if (n == 0)
+    return refuse(req.id_json, Outcome::failure(ErrorKind::BadRequest, "empty batch"));
 
   // All-or-nothing admission for the whole slice.
-  if (!try_admit(n)) {
-    bump(kOverloaded);
-    obs::Logger::global().warn_rate_limited(
-        "overloaded", "batch rejected: admission queue full",
-        {obs::field("cells", n), obs::field("capacity", capacity_)});
-    return serialize_error(
-        req.id_json, ErrorKind::Overloaded,
-        strformat("batch of %zu cells exceeds capacity %zu (in flight: %zu)", n,
-                  capacity_, inflight_cells()));
-  }
+  ticket.cells = n;
+  if (auto refusal = admit(ticket)) return refuse(req.id_json, *refusal);
 
   // One job group per batch: the whole slice cancels as a unit when the
   // deadline fires; members already running finish (and land in the cache).
@@ -888,39 +876,32 @@ std::string Service::handle_batch(const Request& req) {
         slot.workload = w->name;
         slot.level = level;
         slot.width = width;
+        CompileRequest spec;
+        spec.level = level;
+        spec.issue = width;
+        spec.scheduler = b.scheduler;
+        const std::uint64_t key = cell_key(w->source, spec);
         engine::Stopwatch queued;
-        const SchedulerKind scheduler = req.batch.scheduler;
-        const std::uint64_t key = service_cell_key(w->source, level, std::nullopt,
-                                                   NestOptions{}, scheduler, width, 8, 0);
         futures.push_back(group.submit_pinned(
             static_cast<unsigned>(shard_index(key)),
-            [this, w, level, width, scheduler, key, queued]() -> BatchCell {
+            [this, w, spec, key, slot, queued]() -> BatchCell {
               queue_wait_hist_.record(queued.nanos());
-              BatchCell cell;
-              cell.workload = w->name;
-              cell.level = level;
-              cell.width = width;
-              const CellOutcome out = cached_cell(key, w->source, level, std::nullopt,
-                                                  NestOptions{}, scheduler, width, 8);
+              BatchCell cell_out = slot;
+              const Outcome out = cell(key, w->source, spec, nullptr).out;
               if (out.ok) {
-                cell.cycles = out.resp.cycles;
-                cell.int_regs = out.resp.int_regs;
-                cell.fp_regs = out.resp.fp_regs;
+                cell_out.cycles = out.resp.cycles;
+                cell_out.int_regs = out.resp.int_regs;
+                cell_out.fp_regs = out.resp.fp_regs;
               } else {
-                cell.error = out.message;
+                cell_out.error = out.message;
               }
-              return cell;
+              return cell_out;
             }));
       }
 
-  const std::int64_t deadline_ms =
-      b.deadline_ms > 0 ? b.deadline_ms : cfg_.default_deadline_ms;
-  const auto deadline_tp = Clock::now() + std::chrono::milliseconds(
-                                              deadline_ms > 0 ? deadline_ms : 0);
   bool cancelled = false;
   for (std::size_t i = 0; i < n; ++i) {
-    if (deadline_ms > 0 && !cancelled &&
-        futures[i].wait_until(deadline_tp) == std::future_status::timeout) {
+    if (!cancelled && !ticket.wait(futures[i])) {
       group.cancel();  // queued members settle as JobCancelled below
       cancelled = true;
     }
@@ -932,186 +913,84 @@ std::string Service::handle_batch(const Request& req) {
       cells[i].error = strformat("batch cell threw: %s", e.what());
     }
   }
-  settle_cells(n);
+  release(ticket);
 
   bump(kOk);
   return serialize_batch_response(req.id_json, cells, elapsed.seconds() * 1e3);
 }
 
-std::string Service::handle_autotune(const Request& req,
-                                     const RequestObs& ro) {
+std::string Service::handle_autotune(const Request& req, const RequestObs& ro,
+                                     const Ticket& ticket) {
   bump(kTuneRequests);
   const AutotuneRequest& a = req.autotune;
   std::string source = a.source;
   if (!a.workload.empty()) {
     const Workload* w = find_workload(a.workload);
-    if (w == nullptr) {
-      bump(kBadRequest);
-      return serialize_error(req.id_json, ErrorKind::BadRequest,
-                             strformat("unknown workload '%s'", a.workload.c_str()));
-    }
+    if (w == nullptr)
+      return refuse(req.id_json, Outcome::failure(ErrorKind::BadRequest,
+                                                  strformat("unknown workload '%s'",
+                                                            a.workload.c_str())));
     source = w->source;
   }
 
-  const std::uint64_t tkey = tune_request_key(source, a);
-  engine::ResultCache& tcache = cache_for(tkey);
+  // The search runs on this thread; candidate evaluations fan onto the pool
+  // through the evaluator.  The deadline and a drain both feed the tuner's
+  // cancellation hook, so either stops the search between batches with the
+  // best found so far (stopped_early), never a dropped request.
+  auto search = [&] {
+    tune::TuneOptions topts;
+    topts.issue = a.issue;
+    topts.beam_width = a.beam;
+    topts.max_rounds = a.rounds;
+    topts.sim_fraction = a.sim_fraction;
+    topts.max_sims = a.max_sims;
+    topts.use_cost_model = a.cost_model;
+    topts.cancelled = [this, &ticket] { return draining() || ticket.expired(); };
 
-  auto respond = [&](const TuneOutcome& out, bool cached,
-                     const std::string& trace_file) {
-    if (out.ok) {
-      bump(kOk);
-      return serialize_autotune_response(req.id_json, out.result_json, cached,
-                                         ro.id, trace_file,
-                                         ro.wall.seconds() * 1e3);
-    }
-    bump(error_counter(out.err));
-    obs::log_debug("autotune request failed",
-                   {obs::field("kind", error_kind_name(out.err)),
-                    obs::field("message", out.message)});
-    return serialize_error(req.id_json, out.err, out.message);
-  };
-
-  // Warm path: an identical search already ran to completion — replay it.
-  if (auto payload = tcache.lookup(tkey)) {
-    if (payload->rfind(kTunePayloadPrefix, 0) == 0) {
-      bump(kTuneCached);
-      TuneOutcome out;
-      out.ok = true;
-      out.result_json = payload->substr(kTunePayloadPrefix.size());
-      return respond(out, /*cached=*/true, {});
-    }
-    tcache.invalidate(tkey);
-  }
-
-  // Join an identical in-flight search, or admit a new one against both the
-  // tune-job bound (searches saturate the pool, so a handful is plenty) and
-  // the global admission counter (a search occupies one cell slot end to
-  // end, which is what folds it into drain accounting).
-  std::shared_ptr<TuneInflight> entry;
-  std::promise<TuneOutcome> publish;
-  bool executor = false;
-  {
-    std::lock_guard<std::mutex> lock(tune_mu_);
-    auto it = tune_inflight_.find(tkey);
-    if (it != tune_inflight_.end()) {
-      entry = it->second;
-    } else if (tune_jobs_.load(std::memory_order_relaxed) < cfg_.tune_job_limit &&
-               try_admit(1)) {
-      tune_jobs_.fetch_add(1, std::memory_order_relaxed);
-      entry = std::make_shared<TuneInflight>();
-      entry->future = publish.get_future().share();
-      tune_inflight_.emplace(tkey, entry);
-      executor = true;
-    }
-  }
-  if (entry == nullptr) {
-    bump(kOverloaded);
-    obs::Logger::global().warn_rate_limited(
-        "overloaded", "autotune rejected: job limit reached",
-        {obs::field("limit", cfg_.tune_job_limit)});
-    return serialize_error(
-        req.id_json, ErrorKind::Overloaded,
-        strformat("autotune job limit reached (%zu searches in flight)",
-                  cfg_.tune_job_limit));
-  }
-
-  const std::int64_t deadline_ms =
-      a.deadline_ms > 0 ? a.deadline_ms : cfg_.default_deadline_ms;
-
-  if (!executor) {
-    bump(kTuneCoalesced);
-    std::shared_future<TuneOutcome> fut = entry->future;
-    if (deadline_ms > 0 &&
-        fut.wait_for(std::chrono::milliseconds(deadline_ms)) ==
-            std::future_status::timeout) {
-      bump(kDeadlineExceeded);
-      obs::log_debug("deadline exceeded while waiting",
-                     {obs::field("deadline_ms", deadline_ms)});
-      return serialize_error(req.id_json, ErrorKind::DeadlineExceeded,
-                             strformat("deadline of %lld ms exceeded",
-                                       static_cast<long long>(deadline_ms)));
-    }
-    return respond(fut.get(), /*cached=*/false, {});
-  }
-
-  // Executor: the search runs on this thread; candidate evaluations fan onto
-  // the pool through the evaluator.  The deadline and a drain both feed the
-  // tuner's cancellation hook, so either stops the search between batches
-  // with the best found so far (stopped_early), never a dropped request.
-  const auto deadline_tp =
-      Clock::now() +
-      std::chrono::milliseconds(deadline_ms > 0 ? deadline_ms : 0);
-  tune::TuneOptions topts;
-  topts.issue = a.issue;
-  topts.beam_width = a.beam;
-  topts.max_rounds = a.rounds;
-  topts.sim_fraction = a.sim_fraction;
-  topts.max_sims = a.max_sims;
-  topts.use_cost_model = a.cost_model;
-  topts.cancelled = [this, deadline_ms, deadline_tp] {
-    return draining() || (deadline_ms > 0 && Clock::now() >= deadline_tp);
-  };
-
-  TuneOutcome out;
-  {
     obs::SpanScope span("autotune", "tune");
     // Candidates measure as compile cells through the shard caches, so a
     // tuned cell and a compiled cell are one cache entry and one execution.
-    auto measure = [this](const std::string& src, int issue, const tune::TuneConfig& c) {
-      const std::uint64_t key = service_cell_key(src, c.level, std::nullopt, c.nest,
-                                                 c.scheduler, issue, c.unroll, 0);
-      bool hit = false;
-      const CellOutcome cell = cached_cell(key, src, c.level, std::nullopt, c.nest,
-                                           c.scheduler, issue, c.unroll, &hit);
-      return to_measurement(cell, hit);
+    auto measure = [this](const std::string& src, int issue, const tune::TuneConfig& tc) {
+      CompileRequest spec;
+      spec.level = tc.level;
+      spec.nest = tc.nest;
+      spec.scheduler = tc.scheduler;
+      spec.issue = issue;
+      spec.unroll = tc.unroll;
+      const Memoized m = cell(cell_key(src, spec), src, spec, nullptr);
+      return to_measurement(m.out, m.via == Via::Hit);
     };
     tune::LocalEvaluator eval(pool_.get(), measure);
-    const tune::TuneResult r = [&] {
-      try {
-        return tune::autotune(source, topts, eval);
-      } catch (const std::exception& e) {
-        tune::TuneResult bad;
-        bad.error = strformat("search threw: %s", e.what());
-        return bad;
-      }
-    }();
+    const tune::TuneResult r = tune::autotune(source, topts, eval);
     tune_cand_simulated_.fetch_add(r.simulated, std::memory_order_relaxed);
     tune_cand_pruned_.fetch_add(r.pruned, std::memory_order_relaxed);
     tune_cand_cache_hits_.fetch_add(r.cache_hits, std::memory_order_relaxed);
     if (r.stopped_early) bump(kTuneStoppedEarly);
+    if (!r.ok) return Outcome::failure(ErrorKind::CompileError, r.error);
+    Outcome out;
+    out.ok = true;
+    out.tune_json = r.to_json();
     out.stopped_early = r.stopped_early;
-    if (r.ok) {
-      out.ok = true;
-      out.result_json = r.to_json();
-      // Whole-search memoization: only complete runs are stored — a
-      // deadline-truncated search must not shadow the full answer for the
-      // next identical request.
-      if (!r.stopped_early)
-        tcache.store(tkey, std::string(kTunePayloadPrefix) + out.result_json);
-      obs::log_info(
-          "autotune finished",
-          {obs::field("best", r.best.name()),
-           obs::field("best_cycles", r.best_cycles),
-           obs::field("lev4_cycles", r.lev4_cycles),
-           obs::field("simulated", r.simulated),
-           obs::field("pruned", r.pruned),
-           obs::field("stopped_early", r.stopped_early ? 1 : 0)});
-    } else {
-      out.err = ErrorKind::CompileError;
-      out.message = r.error;
-    }
-  }
-
-  publish.set_value(out);
-  {
-    std::lock_guard<std::mutex> lock(tune_mu_);
-    tune_inflight_.erase(tkey);
-  }
-  tune_jobs_.fetch_sub(1, std::memory_order_relaxed);
-  settle_cells(1);
-
-  const std::string trace_file = write_request_trace(ro);
-  return respond(out, /*cached=*/false, trace_file);
+    obs::log_info("autotune finished",
+                  {obs::field("best", r.best.name()),
+                   obs::field("best_cycles", r.best_cycles),
+                   obs::field("lev4_cycles", r.lev4_cycles),
+                   obs::field("simulated", r.simulated),
+                   obs::field("pruned", r.pruned),
+                   obs::field("stopped_early", r.stopped_early ? 1 : 0)});
+    return out;
+  };
+  const Memoized m =
+      memo(service_search_key(source, a.issue, a.beam, a.rounds, a.max_sims,
+                              a.sim_fraction, a.cost_model),
+           kSearchCodec, &ticket, search);
+  if (m.via == Via::Hit) bump(kTuneCached);
+  if (m.via == Via::Joined) bump(kTuneCoalesced);
+  const std::string trace_file = m.via == Via::Computed ? write_request_trace(ro) : "";
+  if (!m.out.ok) return refuse(req.id_json, m.out);
+  bump(kOk);
+  return serialize_autotune_response(req.id_json, m.out.tune_json, m.via == Via::Hit,
+                                     ro.id, trace_file, ro.wall.seconds() * 1e3);
 }
 
 void Service::accumulate_profile(const CycleProfile& p) {
@@ -1341,7 +1220,7 @@ std::string Service::metrics_exposition() const {
                                    std::to_string(i),
                                    static_cast<double>(hot_sizes[i]));
   obs::prom::begin_gauge_family(out, "server.shard_inflight",
-                                "Coalescing-map entries per shard");
+                                "Memoised computations in flight per shard");
   for (std::size_t i = 0; i < inflight_sizes.size(); ++i)
     obs::prom::append_gauge_sample(out, "server.shard_inflight", "shard",
                                    std::to_string(i),

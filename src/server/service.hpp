@@ -9,39 +9,40 @@
 //                                  -> zero-copy response segments)
 //
 //   * State is sharded: the result cache, the pre-serialized hot-response
-//     tier and the in-flight coalescing map are split into `workers` shards
-//     keyed by the cell's content hash.  The epoll transport routes requests
-//     so that a shard's structures are touched by one worker thread almost
-//     always; per-shard mutexes remain for cross-shard joiners, batch and
-//     autotune pool jobs and the stats walkers, but they are uncontended in
-//     steady state.  (The result cache partitions lock internally: autotune
-//     measurements run on any pool worker and write whichever partition
-//     their cell key names.)
-//   * Admission is a bounded counter: at most `workers + queue_limit` study
-//     cells may be in flight (queued or executing).  A request that would
-//     exceed the bound is rejected immediately with an `overloaded` error —
-//     backpressure is always explicit, never a silently growing queue.
-//   * Identical in-flight compile requests coalesce: the request key is the
-//     engine cache's content hash (HashStream over source, pipeline, machine
-//     and options), and the owning shard's in-flight map lets later arrivals
-//     share the first arrival's future instead of duplicating work — even
-//     when the arrivals ride different transports.
-//   * Completed cells persist in the shard's engine::ResultCache partition
-//     (memory + optional shared disk tier), and successful compile cells
-//     additionally keep their serialized response segments in the shard's
-//     hot tier, so a warm repeat over the epoll transport costs one hash
-//     lookup and a writev — no JSON is built per reply (protocol.hpp
-//     CompileBody).
-//   * Every request carries a deadline (client-set or the service default).
-//     The compile queue is the transport's dispatch ring: a line whose ring
-//     wait already exceeded its deadline is answered `deadline_exceeded`
-//     without executing, and a joiner stops waiting for its in-flight twin
-//     when its own deadline fires.  A cell already computing always finishes
-//     into the cache.  Batch members still queued on the engine pool when
-//     the batch deadline fires are cancelled through its JobGroup hook.
-//   * begin_drain() flips the service into shutdown mode: compile/batch
-//     requests are refused with `shutting_down` (stats still answers), and
-//     wait_drained() blocks until every admitted cell has settled.
+//     tier and the in-flight registry are split into `workers` shards keyed
+//     by the content hash.  The epoll transport routes requests so that a
+//     shard's structures are touched by one worker thread almost always;
+//     per-shard mutexes remain for cross-shard joiners, pool jobs and the
+//     stats walkers, but they are uncontended in steady state.
+//   * The hot tier comes first: a warm compile is one lock, one lookup and
+//     three pointer copies, serialized (or writev'd) at write time — no JSON
+//     is built per reply (protocol.hpp CompileBody).
+//   * Everything else cached is one memoised computation, memo(): a key
+//     (harness/cache_key.hpp), a codec (engine/memo.hpp) and a compute
+//     function, for three families: the cell (shared by compile requests,
+//     batch members and autotune candidates), the Conv @ issue-1 speedup
+//     baseline, and the whole autotune search.  On a cache miss memo()
+//     joins the computation in flight for the key in the shard's registry,
+//     or registers one, computes it on the calling thread, stores it and
+//     hands the outcome to its joiners — so each key computes once,
+//     whichever verbs race for it.  Only requests that join count in
+//     `coalesced` / `tune.coalesced`.
+//   * Admission is one hook, admit(), taken by a request when it registers
+//     (compile, autotune) or for its whole slice (batch): a line whose ring
+//     wait used up its deadline is answered `deadline_exceeded`; one beyond
+//     `workers + queue_limit` cells in flight, or `tune_job_limit`
+//     searches, is answered `overloaded` at once — backpressure is always
+//     explicit.  The cells of an admitted request are not admitted again,
+//     and wait for a registered twin without a deadline (it is running).
+//   * Deadlines (client-set or the service default) count from when the
+//     line was read.  A joining request stops waiting when its own deadline
+//     fires, while the computation finishes into the cache; a search stops
+//     with its best so far; batch members still queued on the engine pool
+//     are cancelled through the batch's JobGroup.
+//   * begin_drain() flips the service into shutdown mode: compile/batch/
+//     autotune requests are refused with `shutting_down` (stats still
+//     answers), and wait_drained() blocks until every admitted cell has
+//     settled.
 //   * Observability: every request gets a server-minted id (r-<n>) that is
 //     stamped on log lines, echoed in compile responses, and used as the
 //     span correlation key.  Work requests record end-to-end latency and
@@ -49,8 +50,8 @@
 //     Prometheus text exposition of everything (including per-shard gauges
 //     the transport registers via set_transport_metrics), and a compile
 //     request with {"trace": true} writes a request-scoped Chrome trace when
-//     the service has a trace_dir — with the simulated issue window rendered
-//     as per-slot lanes next to the wall-clock spans.
+//     the service has a trace_dir and its cell ran — with the simulated
+//     issue window rendered as per-slot lanes next to the wall-clock spans.
 //   * Cycle accounting: every executed cell runs under the simulator's
 //     stall-attribution profile (sim/profile.hpp).  A compile request with
 //     {"profile": true} gets the cell's summary in its response; the
@@ -77,6 +78,7 @@
 #include <vector>
 
 #include "engine/cache.hpp"
+#include "engine/memo.hpp"
 #include "engine/metrics.hpp"
 #include "engine/pool.hpp"
 #include "obs/histogram.hpp"
@@ -178,7 +180,7 @@ class Service {
   [[nodiscard]] int workers() const { return workers_; }
   [[nodiscard]] std::size_t capacity() const { return capacity_; }
   // Number of state shards (== workers): cache partition, hot tier and
-  // coalescing map are all split this way, and the transport sizes its
+  // in-flight registry are all split this way, and the transport sizes its
   // dispatch rings to match.
   [[nodiscard]] int shard_count() const { return workers_; }
 
@@ -199,13 +201,11 @@ class Service {
   // shard_ring_drops) to the same exposition.
   void set_transport_metrics(std::function<void(std::string&)> fn);
 
-  // Defined in service.cpp; public so the file-local compute/encode helpers
-  // there can name them.
-  struct CellOutcome;
-  struct Inflight;
+  // Defined in service.cpp; public so the file-local codec and helper
+  // functions there can name them.
+  struct Outcome;
   struct RequestObs;
-  struct TuneOutcome;
-  struct TuneInflight;
+  struct Ticket;
 
  private:
   // Internal counter mirror of ServiceCounters (same order); relaxed
@@ -223,11 +223,16 @@ class Service {
   // exactly one outcome counter, so received == ok + the error counters.
   static Counter error_counter(ErrorKind kind);
 
+  // One memoised computation in flight; joiners share its future.
+  struct Flight;
+
   // One state shard.  Padded so neighbouring shards never false-share; the
   // mutex is uncontended when the transport routes by the same hash.
   struct alignas(64) Shard {
     mutable std::mutex mu;
-    std::unordered_map<std::uint64_t, std::shared_ptr<Inflight>> inflight;
+    // The in-flight registry: every memoised computation (cell, baseline or
+    // search) whose key this shard owns, from registration to settlement.
+    std::unordered_map<std::uint64_t, std::shared_ptr<Flight>> inflight;
     std::unordered_map<std::uint64_t, std::shared_ptr<const CompileBody>> hot;
     std::unique_ptr<engine::ResultCache> cache;
   };
@@ -236,32 +241,40 @@ class Service {
   [[nodiscard]] Shard& shard_for(std::uint64_t key) {
     return *shards_[shard_index(key)];
   }
-  [[nodiscard]] engine::ResultCache& cache_for(std::uint64_t key) {
-    return *shard_for(key).cache;
-  }
-  // Bounded-insert into the shard's hot tier (clears wholesale when full).
-  void hot_insert(Shard& sh, std::uint64_t key,
-                  std::shared_ptr<const CompileBody> body);
 
-  // Bounded admission: reserves `n` cells or fails without blocking.
-  bool try_admit(std::size_t n);
-  // Exactly-once bookkeeping when admitted cells settle.
-  void settle_cells(std::size_t n);
+  // The admission hook.  Refuses a ticket whose ring wait used up its
+  // deadline (deadline_exceeded), or that would exceed the cell capacity or,
+  // for a search, the tune-job bound (overloaded); otherwise reserves its
+  // cells and search slot until release().
+  std::optional<Outcome> admit(const Ticket& t);
+  void release(const Ticket& t);
 
-  // Runs the cell on the calling thread, coalesces identical in-flight
-  // cells via a promise-backed in-flight entry, returns zero-copy segments
-  // on warm hits.
-  Reply handle_compile(const ParsedRequest& p,
-                       const RequestObs& ro,
-                       std::uint64_t queued_ns);
-  std::string handle_batch(const Request& req);
-  // Autotune verb: coalesced by search content hash, whole results cached,
-  // candidate evaluations fanned onto the pool by tune::LocalEvaluator, whose
-  // measurements are cached_cell calls (so they share the compile verb's
-  // cells), deadline/drain folded into the search's cancellation hook so it
-  // stops with the best found so far.
-  std::string handle_autotune(const Request& req,
-                              const RequestObs& ro);
+  // How a memo call was answered.
+  enum class Via { Hit, Computed, Joined, Refused };
+  struct Memoized;
+  // The one memoised computation: the shard cache's entry for `key` when
+  // `codec` decodes it; otherwise the in-flight twin's outcome, or compute()
+  // run here — after admission when `ticket` is set (a request), directly
+  // when it is null (a cell of an admitted request) — stored unless the
+  // codec says never, and handed to every joiner.  A compute that throws
+  // settles as an `internal` error.
+  template <typename Compute>
+  Memoized memo(std::uint64_t key, const engine::Codec<Outcome>& codec,
+                const Ticket* ticket, Compute&& compute);
+
+  // The error reply for `out`; bumps its outcome counter.
+  std::string refuse(const std::string& id_json, const Outcome& out);
+
+  Reply handle_compile(const ParsedRequest& p, const RequestObs& ro,
+                       const Ticket& ticket);
+  std::string handle_batch(const Request& req, Ticket ticket);
+  // Autotune verb: one memoised search (whole results cached, identical
+  // searches coalesced), candidate evaluations fanned onto the pool by
+  // tune::LocalEvaluator, whose measurements are cell() calls (so they share
+  // the compile verb's cells), deadline/drain folded into the search's
+  // cancellation hook so it stops with the best found so far.
+  std::string handle_autotune(const Request& req, const RequestObs& ro,
+                              const Ticket& ticket);
 
   // Closes a traced request's Chrome trace with its `request` span and
   // writes it to <trace_dir>/req-<id>.json; returns the path, or "" when the
@@ -270,21 +283,14 @@ class Service {
 
   // Compiles the cell through its cell plan (harness/experiment.hpp; the
   // `transforms` ablation form forks the level stage on that set) and
-  // simulates it profiled.  No cache, no accounting: cached_cell owns both.
-  CellOutcome compute_cell(const std::string& source, OptLevel level,
-                           const std::optional<TransformSet>& transforms,
-                           const NestOptions& nest, SchedulerKind scheduler,
-                           int issue, int unroll);
-  // The one way a cell runs: the shard cache's entry for `key` when it
-  // decodes, otherwise compute_cell, stored under `key` and counted in
-  // cells_executed (a throwing cell is stored as an `internal` error).
-  // Compile executors, batch members and autotune measurements all call it,
-  // so identical work is one cache entry whichever verb asked for it.
-  // `cache_hit`, when non-null, is set on a hit.
-  CellOutcome cached_cell(std::uint64_t key, const std::string& source,
-                          OptLevel level, const std::optional<TransformSet>& transforms,
-                          const NestOptions& nest, SchedulerKind scheduler, int issue,
-                          int unroll, bool* cache_hit = nullptr);
+  // simulates it profiled.  No cache, no accounting: cell() owns both.
+  Outcome compute_cell(const std::string& source, const CompileRequest& c);
+  // The one way a cell runs: memo() over the cell codec, computing
+  // compute_cell (after `c.debug_sleep_ms`, bounded by the ticket's
+  // deadline) and counting it in cells_executed.  Compile requests pass
+  // their ticket; batch members and autotune measurements pass none.
+  Memoized cell(std::uint64_t key, const std::string& source,
+                const CompileRequest& c, const Ticket* ticket);
   std::uint64_t base_cycles_for(const std::string& source);
   // Folds one executed cell's profile into the daemon-lifetime accumulators
   // behind profile_json() and the sim.* metric families.
@@ -320,11 +326,8 @@ class Service {
   std::atomic<std::uint64_t> profiled_cells_{0};
   std::atomic<std::uint64_t> profiled_cycles_{0};
 
-  // Autotune state: a service-wide coalescing map (searches are rare and
-  // long compared to cells, so one mutex is fine) and bounded-concurrency
-  // accounting.  Candidate counters are add-by-n, hence outside Counter.
-  std::mutex tune_mu_;
-  std::unordered_map<std::uint64_t, std::shared_ptr<TuneInflight>> tune_inflight_;
+  // Autotune searches admitted (bounded by tune_job_limit) and candidate
+  // counters, which are add-by-n, hence outside Counter.
   std::atomic<std::size_t> tune_jobs_{0};
   std::atomic<std::uint64_t> tune_cand_simulated_{0};
   std::atomic<std::uint64_t> tune_cand_pruned_{0};

@@ -9,6 +9,7 @@
 #include <numeric>
 #include <set>
 
+#include "engine/memo.hpp"
 #include "engine/metrics.hpp"
 #include "harness/cache_key.hpp"
 #include "harness/experiment.hpp"
@@ -155,26 +156,25 @@ Evaluator::Measurement measure_one(const std::string& source, int issue,
   return out;
 }
 
+// A failed measurement is recomputed, never stored.
+constexpr engine::Codec<Evaluator::Measurement> kMeasurementCodec{
+    [](const Evaluator::Measurement& m) {
+      return strformat("tune-v1 ok %" PRIu64 " %.9f", m.cycles, m.mem_wait);
+    },
+    [](const std::string& payload, Evaluator::Measurement& out) {
+      out.ok = out.cache_hit = std::sscanf(payload.c_str(), "tune-v1 ok %" SCNu64 " %lf",
+                                           &out.cycles, &out.mem_wait) == 2;
+      return out.ok;
+    },
+    [](const Evaluator::Measurement& m) { return !m.ok; }};
+
 // measure_one memoized under the "tune-cell" key (no cache: measure_one).
 Evaluator::Measurement cached_measure(engine::ResultCache* cache,
                                       const std::string& source, int issue,
                                       const TuneConfig& c) {
   if (cache == nullptr) return measure_one(source, issue, c);
-  const std::uint64_t key = tune_cell_key(source, issue, c);
-  if (auto payload = cache->lookup(key)) {
-    Evaluator::Measurement hit;
-    if (std::sscanf(payload->c_str(), "tune-v1 ok %" SCNu64 " %lf", &hit.cycles,
-                    &hit.mem_wait) == 2) {
-      hit.ok = true;
-      hit.cache_hit = true;
-      return hit;
-    }
-    cache->invalidate(key);  // stale schema or an encoded error: recompute
-  }
-  Evaluator::Measurement out = measure_one(source, issue, c);
-  if (out.ok)
-    cache->store(key, strformat("tune-v1 ok %" PRIu64 " %.9f", out.cycles, out.mem_wait));
-  return out;
+  return engine::memoize(*cache, tune_cell_key(source, issue, c), kMeasurementCodec,
+                         [&] { return measure_one(source, issue, c); });
 }
 
 // Runs `one` over a batch, on the pool when there is one, results by input

@@ -10,6 +10,7 @@
 
 #include <unistd.h>
 
+#include <atomic>
 #include <chrono>
 #include <filesystem>
 #include <future>
@@ -306,20 +307,50 @@ TEST(Service, OutcomeCountersCloseOverEveryReply) {
   EXPECT_EQ(error_kind_of(serve_json(R"({"kind": "batch"})")), "overloaded");
   EXPECT_TRUE(serve_json(R"({"kind": "stats"})").find("ok")->as_bool());
 
+  // Ring wait counts against every verb's deadline: a batch or a search
+  // that used its deadline up in the ring is refused before admission.
+  EXPECT_EQ(error_kind_of(serve_json(
+                R"({"kind": "batch", "workloads": ["APS-1"], "deadline_ms": 50})",
+                /*queued_ns=*/50'000'000)),
+            "deadline_exceeded");
+  EXPECT_EQ(error_kind_of(serve_json(
+                R"({"kind": "autotune", "workload": "APS-1", "deadline_ms": 50})",
+                /*queued_ns=*/50'000'000)),
+            "deadline_exceeded");
+  EXPECT_EQ(service.inflight_cells(), 0u);
+
   service.begin_drain();
   EXPECT_EQ(error_kind_of(serve_json(compile_line(9333))), "shutting_down");
 
   c = service.counters();
-  EXPECT_EQ(c.received, 11u);
+  EXPECT_EQ(c.received, 13u);
   EXPECT_EQ(c.ok, 3u);
   EXPECT_EQ(c.bad_request, 2u);
   EXPECT_EQ(c.overloaded, 1u);
   EXPECT_EQ(c.shutting_down, 1u);
-  EXPECT_EQ(c.deadline_exceeded, 3u);
+  EXPECT_EQ(c.deadline_exceeded, 5u);
   EXPECT_EQ(c.compile_errors, 1u);
   EXPECT_EQ(c.internal_errors, 0u);
   EXPECT_TRUE(closes());
   service.wait_drained();
+}
+
+// A deadline is client input: the largest one the protocol accepts must
+// behave as a long deadline on every verb, not overflow the clock.
+TEST(Service, HugeDeadlinesAreServed) {
+  Service service(config(2));
+  const char* lines[] = {
+      R"({"kind": "compile", "workload": "APS-1", "level": "conv", "issue": 1,)"
+      R"( "deadline_ms": 9223372036854775807})",
+      R"({"kind": "batch", "workloads": ["APS-1"], "levels": ["conv"], "widths": [2],)"
+      R"( "deadline_ms": 9223372036854775807})",
+      R"({"kind": "autotune", "workload": "APS-1", "beam": 2, "rounds": 1, "max_sims": 6,)"
+      R"( "deadline_ms": 9223372036854775807})",
+  };
+  for (const char* line : lines) {
+    const auto v = parse_ok(service.serve(line, /*queued_ns=*/1'000'000).to_line());
+    EXPECT_TRUE(v.find("ok")->as_bool()) << line << " " << error_kind_of(v);
+  }
 }
 
 TEST(Service, BatchComputesFullCrossProduct) {
@@ -399,6 +430,72 @@ TEST(Service, BatchReusesCompileCacheEntries) {
   ASSERT_TRUE(v.find("ok")->as_bool());
   // The batch cell hit the entry the compile request stored: same key space.
   EXPECT_EQ(service.counters().cells_executed, executed);
+}
+
+// Each cell runs once whichever verb asks for it: compile requests and batch
+// members racing over one cell set share every execution, so cells_executed
+// and the profile verb's cell count both equal the number of distinct cells.
+TEST(Service, EachCellRunsOnceAcrossVerbs) {
+  Service service(config(4));
+  const std::vector<std::string> workloads = {"APS-1", "SDS-1"};
+  const std::vector<std::string> levels = {"conv", "lev2", "lev4"};
+  const std::vector<int> widths = {1, 4};
+  std::vector<std::string> compiles;
+  for (const std::string& w : workloads)
+    for (const std::string& level : levels)
+      for (const int width : widths)
+        compiles.push_back(strformat(
+            R"({"kind": "compile", "workload": "%s", "level": "%s", "issue": %d})",
+            w.c_str(), level.c_str(), width));
+  const std::string batch =
+      R"({"kind": "batch", "workloads": ["APS-1", "SDS-1"],)"
+      R"( "levels": ["conv", "lev2", "lev4"], "widths": [1, 4]})";
+
+  std::atomic<int> failures{0};
+  auto check = [&failures](const std::string& reply) {
+    std::string err;
+    const auto v = JsonValue::parse(reply, &err);
+    if (!v || v->find("ok") == nullptr || !v->find("ok")->as_bool()) ++failures;
+  };
+  std::vector<std::thread> threads;
+  for (int t = 0; t < 2; ++t)
+    threads.emplace_back([&] { check(service.serve(batch).to_line()); });
+  for (std::size_t t = 0; t < 4; ++t)
+    threads.emplace_back([&, t] {
+      for (std::size_t i = 0; i < compiles.size(); ++i)
+        check(service.serve(compiles[(i + 3 * t) % compiles.size()]).to_line());
+    });
+  for (std::thread& t : threads) t.join();
+  EXPECT_EQ(failures.load(), 0);
+
+  const std::uint64_t distinct = compiles.size();
+  EXPECT_EQ(service.counters().cells_executed, distinct);
+  const auto profile = parse_ok(service.serve(R"({"kind": "profile"})").to_line());
+  ASSERT_TRUE(profile.find("ok")->as_bool());
+  EXPECT_EQ(profile.find("profile")->find("cells")->as_int(),
+            static_cast<std::int64_t>(distinct));
+  EXPECT_EQ(service.inflight_cells(), 0u);
+}
+
+// The baseline is keyed in the shared version domain: a payload an older
+// build left at the unversioned "ilpd-base-v1" key is never served.
+TEST(Service, BaseCyclesIgnoreTheUnversionedKey) {
+  TempDir dir;
+  const std::uint64_t seed = 9600;
+  engine::HashStream old_key;
+  old_key.str("ilpd-base-v1");
+  old_key.str(ilp::testing::random_program(seed));
+  engine::ResultCache(dir.path).store(old_key.digest(), "7");
+
+  Service fresh(config(1));
+  Service seeded(config(1, 64, dir.path));
+  const auto want = parse_ok(fresh.serve(compile_line(seed)).to_line());
+  const auto got = parse_ok(seeded.serve(compile_line(seed)).to_line());
+  ASSERT_TRUE(want.find("ok")->as_bool()) << error_kind_of(want);
+  ASSERT_TRUE(got.find("ok")->as_bool()) << error_kind_of(got);
+  EXPECT_NE(got.find("base_cycles")->as_int(), 7);
+  EXPECT_EQ(got.find("base_cycles")->as_int(), want.find("base_cycles")->as_int());
+  EXPECT_EQ(got.find("speedup")->as_double(), want.find("speedup")->as_double());
 }
 
 // Drain: new work is refused with `shutting_down`, the sleeping request that
