@@ -57,26 +57,31 @@ Expected<LoopPlan> LoopPlan::build(const Workload& w, const CompileOptions& opts
 
 Expected<LevelPlan> LoopPlan::level(OptLevel level,
                                     const std::optional<TransformSet>& set) const& {
-  return fork(level, set.value_or(TransformSet::for_level(level)), fn_);
+  return fork(level, set.value_or(TransformSet::for_level(level)), opts_, fn_);
 }
 
 Expected<LevelPlan> LoopPlan::level(OptLevel level,
                                     const std::optional<TransformSet>& set) && {
-  return fork(level, set.value_or(TransformSet::for_level(level)), std::move(fn_));
+  return fork(level, set.value_or(TransformSet::for_level(level)), opts_, std::move(fn_));
+}
+
+Expected<LevelPlan> LoopPlan::level(OptLevel level, const CompileOptions& opts) const {
+  ILP_ASSERT(opts.nest == opts_.nest, "a level fork must keep its prefix's nest set");
+  return fork(level, TransformSet::for_level(level), opts, fn_);
 }
 
 Expected<LevelPlan> LoopPlan::fork(OptLevel level, const TransformSet& set,
-                                   Function fn) const {
+                                   const CompileOptions& opts, Function fn) const {
   if (error_) return stage_error(name_, level, error_->c_str());
   LevelPlan out;
   out.name_ = name_;
   out.level_ = level;
   out.set_ = set;
-  out.opts_ = opts_;
+  out.opts_ = opts;
   out.fn_ = std::move(fn);
   out.stats_ = stats_;
   try {
-    compile_level(out.fn_, set, opts_, out.stats_, CompileContext::local());
+    compile_level(out.fn_, set, opts, out.stats_, CompileContext::local());
   } catch (const std::exception& e) {
     return stage_error(name_, level, e.what());
   }
@@ -85,15 +90,19 @@ Expected<LevelPlan> LoopPlan::fork(OptLevel level, const TransformSet& set,
 
 Expected<CompiledLoop> LevelPlan::compile(const MachineModel& m,
                                           TransformStats* stats) const& {
-  return backend(m, stats, fn_);
+  return leaf(m, stats, fn_);
 }
 
 Expected<CompiledLoop> LevelPlan::compile(const MachineModel& m, TransformStats* stats) && {
-  return backend(m, stats, std::move(fn_));
+  return leaf(m, stats, std::move(fn_));
 }
 
-Expected<CompiledLoop> LevelPlan::backend(const MachineModel& m, TransformStats* stats,
-                                          Function fn) const {
+Expected<Function> LevelPlan::schedule(const MachineModel& m) && {
+  return backend(m, nullptr, std::move(fn_));
+}
+
+Expected<Function> LevelPlan::backend(const MachineModel& m, TransformStats* stats,
+                                      Function fn) const {
   TransformStats s = stats_;
   try {
     compile_backend(fn, set_, m, opts_, s, CompileContext::local());
@@ -101,8 +110,15 @@ Expected<CompiledLoop> LevelPlan::backend(const MachineModel& m, TransformStats*
     return stage_error(name_, level_, e.what());
   }
   if (stats != nullptr) *stats = s;
+  return fn;
+}
+
+Expected<CompiledLoop> LevelPlan::leaf(const MachineModel& m, TransformStats* stats,
+                                       Function fn) const {
+  auto scheduled = backend(m, stats, std::move(fn));
+  if (!scheduled) return Error{scheduled.error_message()};
   CompiledLoop out;
-  out.fn = std::move(fn);
+  out.fn = std::move(*scheduled);
   {
     engine::ScopedTimer timer("pass.regalloc");
     out.regs = measure_register_usage(out.fn);

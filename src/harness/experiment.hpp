@@ -28,6 +28,13 @@
 // tests, LoopPlan::build is the only caller of the frontend in the harness,
 // the tuner and the server.
 //
+// The autotuner (tune/tune.hpp) grows the same tree per search on its own
+// axes: one LoopPlan per nest set, kept for the whole search, and per
+// candidate a level fork that takes the candidate's options (unroll,
+// scheduler), moved into a backend that stops before register measurement.
+// Const plans are forked concurrently by the study's level jobs and the
+// tuner's pool jobs; a fork only reads its parent.
+//
 // The plans run through the experiment engine (src/engine/): a thread pool
 // (`StudyOptions::jobs`) executes one prefix job per loop, then one job per
 // (loop, level) that runs the level once and its four width leaves; prefix
@@ -172,10 +179,16 @@ class LoopPlan {
       OptLevel level, const std::optional<TransformSet>& set = std::nullopt) const&;
   [[nodiscard]] Expected<LevelPlan> level(
       OptLevel level, const std::optional<TransformSet>& set = std::nullopt) &&;
+  // The candidate form (the tuner's): the fork runs `level`'s
+  // transformations with `opts`' unroll options, and its backend uses
+  // `opts`' scheduler.  `opts.nest` must be the prefix's (asserted): the
+  // prefix already ran it.
+  [[nodiscard]] Expected<LevelPlan> level(OptLevel level, const CompileOptions& opts) const;
 
  private:
   LoopPlan() = default;
-  Expected<LevelPlan> fork(OptLevel level, const TransformSet& set, Function fn) const;
+  Expected<LevelPlan> fork(OptLevel level, const TransformSet& set,
+                           const CompileOptions& opts, Function fn) const;
 
   std::string name_;
   CompileOptions opts_;
@@ -195,12 +208,17 @@ class LevelPlan {
                                                TransformStats* stats = nullptr) const&;
   [[nodiscard]] Expected<CompiledLoop> compile(const MachineModel& m,
                                                TransformStats* stats = nullptr) &&;
+  // The backend alone: the level, moved, scheduled for `m` with no register
+  // measurement (the tuner's leaf).
+  [[nodiscard]] Expected<Function> schedule(const MachineModel& m) &&;
 
  private:
   friend class LoopPlan;
   LevelPlan() = default;
-  Expected<CompiledLoop> backend(const MachineModel& m, TransformStats* stats,
-                                 Function fn) const;
+  Expected<CompiledLoop> leaf(const MachineModel& m, TransformStats* stats,
+                              Function fn) const;
+  Expected<Function> backend(const MachineModel& m, TransformStats* stats,
+                             Function fn) const;
 
   std::string name_;
   OptLevel level_ = OptLevel::Conv;

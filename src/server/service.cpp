@@ -671,7 +671,6 @@ Service::ParsedRequest Service::parse_and_route(const std::string& line) const {
     p.source = c.source;
   }
   p.cell_key = cell_key(p.source, c);
-  p.has_key = true;
   p.shard = shard_index(p.cell_key);
   return p;
 }

@@ -157,7 +157,6 @@ class Service {
     std::string parse_error;
     std::string source;  // resolved compile source text ("" if unknown workload)
     std::uint64_t cell_key = 0;
-    bool has_key = false;
     std::size_t shard = 0;
   };
   [[nodiscard]] ParsedRequest parse_and_route(const std::string& line) const;

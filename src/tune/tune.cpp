@@ -6,7 +6,10 @@
 #include <cstdio>
 #include <exception>
 #include <future>
+#include <map>
+#include <mutex>
 #include <numeric>
+#include <optional>
 #include <set>
 
 #include "engine/memo.hpp"
@@ -113,6 +116,50 @@ std::string TuneResult::to_json() const {
                 .c_str());
 }
 
+// SearchPlan ----------------------------------------------------------------
+
+// One prefix per nest set, built once by whichever job asks first; later
+// askers wait for it.  std::map keeps each entry's address stable.
+struct SearchPlan::Prefixes {
+  struct Entry {
+    std::once_flag once;
+    std::optional<Expected<LoopPlan>> plan;
+  };
+  std::mutex mu;
+  std::map<std::uint64_t, Entry> by_nest;
+};
+
+SearchPlan::SearchPlan(std::string source, int issue)
+    : source_(std::move(source)), issue_(issue), prefixes_(std::make_unique<Prefixes>()) {}
+
+SearchPlan::~SearchPlan() = default;
+
+Expected<Function> SearchPlan::leaf(const TuneConfig& c) {
+  // The prefix's options: the nest set, with tile_size only when tiling is
+  // on (nothing else reads it); keyed by the order key of a config that
+  // fixes every other axis.
+  TuneConfig prefix = c;
+  if (!prefix.nest.tile) prefix.nest.tile_size = NestOptions{}.tile_size;
+  const CompileOptions opts = to_compile_options(prefix);
+  prefix.level = OptLevel::Conv;
+  prefix.unroll = 0;
+  prefix.scheduler = SchedulerKind::List;
+
+  Prefixes::Entry* entry = nullptr;
+  {
+    const std::lock_guard<std::mutex> lock(prefixes_->mu);
+    entry = &prefixes_->by_nest[prefix.order_key()];
+  }
+  std::call_once(entry->once, [&] {
+    entry->plan.emplace(LoopPlan::build(adhoc_workload(source_), opts));
+  });
+  const Expected<LoopPlan>& loop = *entry->plan;
+  if (!loop) return Error{loop.error_message()};
+  auto lv = loop->level(c.level, opts);
+  if (!lv) return Error{lv.error_message()};
+  return std::move(*lv).schedule(MachineModel::issue(issue_));
+}
+
 // LocalEvaluator ------------------------------------------------------------
 
 namespace {
@@ -128,20 +175,12 @@ std::uint64_t tune_cell_key(const std::string& source, int issue,
   return h.digest();
 }
 
-Evaluator::Measurement measure_one(const std::string& source, int issue,
-                                   const TuneConfig& c) {
+// Simulates a leaf profiled.  The conservation check is the tuner's
+// per-candidate oracle: a simulated result whose slot accounting does not
+// close is a bug, never a winner.
+Evaluator::Measurement simulate_leaf(const Function& fn, const MachineModel& m) {
   Evaluator::Measurement out;
-  const MachineModel m = MachineModel::issue(issue);
-  auto compiled =
-      try_compile_workload(adhoc_workload(source), c.level, m, to_compile_options(c));
-  if (!compiled) {
-    out.error = compiled.error_message();
-    return out;
-  }
-  // Profiled run: the conservation check is the tuner's per-candidate
-  // oracle — a simulated result whose slot accounting does not close is a
-  // bug, never a winner.
-  auto sim = try_simulate_profile(compiled->fn, m);
+  auto sim = try_simulate_profile(fn, m);
   if (!sim) {
     out.error = sim.error_message();
     return out;
@@ -168,40 +207,32 @@ constexpr engine::Codec<Evaluator::Measurement> kMeasurementCodec{
     },
     [](const Evaluator::Measurement& m) { return !m.ok; }};
 
-// measure_one memoized under the "tune-cell" key (no cache: measure_one).
-Evaluator::Measurement cached_measure(engine::ResultCache* cache,
-                                      const std::string& source, int issue,
-                                      const TuneConfig& c) {
-  if (cache == nullptr) return measure_one(source, issue, c);
-  return engine::memoize(*cache, tune_cell_key(source, issue, c), kMeasurementCodec,
-                         [&] { return measure_one(source, issue, c); });
-}
-
-// Runs `one` over a batch, on the pool when there is one, results by input
-// index.  Each job runs under the caller's request context and records a
-// "<verb> <config>" span; the label is built only for a traced request.
-// Every job settles before an exception escapes, so none outlives `one`.
+// Runs `one(i)` for every config of a batch, on the pool when there is one,
+// results by input index.  Each job runs under the caller's request context
+// and records a "<verb> <config>" span; the label is built only for a traced
+// request.  Every job settles before an exception escapes, so none outlives
+// `one`.
 template <typename Result, typename One>
 std::vector<Result> run_batch(engine::ThreadPool* pool, const char* verb,
                               const std::vector<TuneConfig>& cfgs, const One& one) {
   const obs::RequestContext* rc = obs::current_request();
-  auto job = [rc, verb, &one](const TuneConfig& c) {
+  auto job = [rc, verb, &one, &cfgs](std::size_t i) {
     obs::RequestScope scope(rc);
     std::string label;
     if (rc != nullptr && rc->sink != nullptr)
-      label = strformat("%s %s", verb, c.name().c_str());
+      label = strformat("%s %s", verb, cfgs[i].name().c_str());
     obs::SpanScope span(label, "tune");
-    return one(c);
+    return one(i);
   };
   std::vector<Result> out(cfgs.size());
   if (pool == nullptr || cfgs.size() < 2) {
-    for (std::size_t i = 0; i < cfgs.size(); ++i) out[i] = job(cfgs[i]);
+    for (std::size_t i = 0; i < cfgs.size(); ++i) out[i] = job(i);
     return out;
   }
   std::vector<std::future<Result>> futures;
   futures.reserve(cfgs.size());
-  for (const TuneConfig& c : cfgs)
-    futures.push_back(pool->submit([&job, c] { return job(c); }));
+  for (std::size_t i = 0; i < cfgs.size(); ++i)
+    futures.push_back(pool->submit([&job, i] { return job(i); }));
   std::exception_ptr error;
   for (std::size_t i = 0; i < cfgs.size(); ++i) {
     try {
@@ -217,33 +248,47 @@ std::vector<Result> run_batch(engine::ThreadPool* pool, const char* verb,
 }  // namespace
 
 LocalEvaluator::LocalEvaluator(engine::ThreadPool* pool, engine::ResultCache* cache)
-    : LocalEvaluator(pool, [cache](const std::string& source, int issue,
-                                   const TuneConfig& c) {
-        return cached_measure(cache, source, issue, c);
-      }) {}
+    : pool_(pool), cache_(cache) {}
 
 LocalEvaluator::LocalEvaluator(engine::ThreadPool* pool, MeasureFn measure)
     : pool_(pool), measure_(std::move(measure)) {}
+
+LocalEvaluator::~LocalEvaluator() = default;
+
+SearchPlan& LocalEvaluator::plan_for(const std::string& source, int issue) {
+  if (!plan_ || plan_->issue() != issue || plan_->source() != source) {
+    leaves_.clear();
+    plan_ = std::make_unique<SearchPlan>(source, issue);
+  }
+  return *plan_;
+}
 
 std::vector<Evaluator::Analysis> LocalEvaluator::analyze(
     const std::string& source, int issue, const std::vector<TuneConfig>& cfgs) {
   static obs::Histogram& search_hist =
       engine::MetricsRegistry::global().histogram("tune.phase.search");
   const engine::Stopwatch wall;
+  SearchPlan& plan = plan_for(source, issue);
   const MachineModel m = MachineModel::issue(issue);
-  auto one = [&source, &m](const TuneConfig& c) {
+  // Leaves are kept for the default measure only; each job fills its slot.
+  const bool keep = !measure_;
+  std::vector<std::optional<Function>> leaves(keep ? cfgs.size() : 0);
+  auto one = [&](std::size_t i) {
     Analysis a;
-    auto compiled = try_compile_workload(adhoc_workload(source), c.level, m,
-                                         to_compile_options(c));
-    if (!compiled) {
-      a.error = compiled.error_message();
+    auto leaf = plan.leaf(cfgs[i]);
+    if (!leaf) {
+      a.error = leaf.error_message();
       return a;
     }
     a.ok = true;
-    a.features = extract_features(compiled->fn, m);
+    a.features = extract_features(*leaf, m);
+    if (keep) leaves[i].emplace(std::move(*leaf));
     return a;
   };
   auto out = run_batch<Analysis>(pool_, "analyze", cfgs, one);
+  leaves_.clear();
+  for (std::size_t i = 0; i < leaves.size(); ++i)
+    if (leaves[i]) leaves_.insert_or_assign(cfgs[i].order_key(), std::move(*leaves[i]));
   search_hist.record(wall.nanos());
   return out;
 }
@@ -253,10 +298,29 @@ std::vector<Evaluator::Measurement> LocalEvaluator::measure(
   static obs::Histogram& simulate_hist =
       engine::MetricsRegistry::global().histogram("tune.phase.simulate");
   const engine::Stopwatch wall;
-  auto one = [this, &source, issue](const TuneConfig& c) {
-    return measure_(source, issue, c);
+  SearchPlan& plan = plan_for(source, issue);
+  const MachineModel m = MachineModel::issue(issue);
+  // Jobs only read leaves_; a config analyze never saw is built here.
+  auto simulate = [&](const TuneConfig& c) {
+    if (const auto it = leaves_.find(c.order_key()); it != leaves_.end())
+      return simulate_leaf(it->second, m);
+    auto leaf = plan.leaf(c);
+    if (!leaf) {
+      Measurement out;
+      out.error = leaf.error_message();
+      return out;
+    }
+    return simulate_leaf(*leaf, m);
+  };
+  auto one = [&](std::size_t i) {
+    const TuneConfig& c = cfgs[i];
+    if (measure_) return measure_(source, issue, c);
+    if (cache_ == nullptr) return simulate(c);
+    return engine::memoize(*cache_, tune_cell_key(source, issue, c), kMeasurementCodec,
+                           [&] { return simulate(c); });
   };
   auto out = run_batch<Measurement>(pool_, "measure", cfgs, one);
+  leaves_.clear();  // the round is over: measured and pruned leaves go
   simulate_hist.record(wall.nanos());
   return out;
 }
@@ -323,6 +387,7 @@ TuneResult autotune(const std::string& source, const TuneOptions& opts,
   CostModel model;  // mem-wait share folded in after the first seed lands
   std::set<std::uint64_t> visited;
   std::vector<Simulated> ranked;  // every simulated-ok candidate, kept sorted
+  std::string first_error;        // of the first candidate that failed
 
   auto cancelled = [&] { return opts.cancelled && opts.cancelled(); };
 
@@ -345,8 +410,8 @@ TuneResult autotune(const std::string& source, const TuneOptions& opts,
         e.config = frontier[i];
         e.round = round;
         e.ok = false;
-        e.error = analyses[i].error;
-        result.evals.push_back(std::move(e));
+        if (first_error.empty()) first_error = analyses[i].error;
+        result.evals.push_back(e);
         continue;
       }
       viable.push_back({i, model.predict(analyses[i].features, frontier[i].level)});
@@ -407,17 +472,17 @@ TuneResult autotune(const std::string& source, const TuneOptions& opts,
         ranked.push_back({frontier[i], meas.cycles});
       } else {
         e.ok = false;
-        e.error = meas.error;
+        if (first_error.empty()) first_error = meas.error;
         ++result.simulated;
       }
-      result.evals.push_back(std::move(e));
+      result.evals.push_back(e);
     }
     for (const std::size_t i : pruned_idx) {
       CandidateEval e;
       e.config = frontier[i];
       e.round = round;
       e.predicted = model.predict(analyses[i].features, frontier[i].level);
-      result.evals.push_back(std::move(e));
+      result.evals.push_back(e);
       ++result.pruned;
     }
     std::sort(ranked.begin(), ranked.end(),
@@ -440,7 +505,7 @@ TuneResult autotune(const std::string& source, const TuneOptions& opts,
 
   if (ranked.empty()) {
     // Every seed failed: surface the first error (deterministic order).
-    result.error = result.evals.empty() ? "no candidates" : result.evals[0].error;
+    result.error = result.evals.empty() ? "no candidates" : first_error;
     result.model_mape = model.mape();
     return result;
   }
@@ -473,6 +538,7 @@ TuneResult autotune(const std::string& source, const TuneOptions& opts,
     if (ranked.front().cycles >= best_before) break;  // hill-climb: no gain
   }
 
+  result.evals.shrink_to_fit();  // the record outlives the search: no growth slack
   result.ok = true;
   result.best = ranked.front().config;
   result.best_cycles = ranked.front().cycles;

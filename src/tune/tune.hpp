@@ -25,16 +25,37 @@
 // implementation, LocalEvaluator, runs in-process (ilpc/bench: thread pool +
 // result cache) and inside ilpd (the service's pool, measuring through its
 // cell cache).
+//
+// A search's candidates share one source and vary only the nest set, level,
+// unroll and scheduler, so LocalEvaluator compiles them through one plan
+// tree per search (SearchPlan, built on harness/experiment.hpp's cell plans):
+//
+//   source -> frontend + nest pre-passes + Conv    once per nest set
+//     -> copy, level transformations + cleanup     once per config
+//       -> schedule at the search's issue width    (moved): the config's leaf
+//
+// analyze extracts features from the leaf (no register measurement: the
+// features never read registers) and keeps it; measure simulates that leaf,
+// so no candidate is compiled twice.  A batch's leaves live until the
+// round's measure call returns, pruned ones included; the prefixes live
+// until the evaluator sees another (source, issue).  Level forks are not
+// kept: no two configs of one batch share a (nest set, level, unroll), so
+// only later rounds could reuse one, and keeping a search's forks costs
+// more memory than their re-run costs time.
 #pragma once
 
 #include <cstdint>
 #include <functional>
+#include <memory>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 #include "engine/cache.hpp"
 #include "engine/pool.hpp"
+#include "ir/function.hpp"
 #include "sched/modulo/modulo.hpp"
+#include "support/expected.hpp"
 #include "trans/level.hpp"
 #include "trans/nest/nest.hpp"
 #include "tune/costmodel.hpp"
@@ -74,16 +95,18 @@ struct TuneOptions {
   std::function<bool()> cancelled;
 };
 
-// Audit record of one candidate, in deterministic evaluation order.
+// Audit record of one candidate, in deterministic evaluation order.  A
+// search keeps one per candidate, so it stays small: the first failure's
+// message is TuneResult::error when every seed fails, and no other reader
+// needs a candidate's.
 struct CandidateEval {
   TuneConfig config;
   int round = 0;
   bool simulated = false;   // false: pruned by the cost model (or budget)
   bool ok = true;           // compile/simulate succeeded
+  bool cache_hit = false;   // measurement served from the result cache
   std::uint64_t cycles = 0; // simulated cycles when simulated && ok
   double predicted = 0.0;   // cost-model estimate at ranking time
-  bool cache_hit = false;   // measurement served from the result cache
-  std::string error;
 };
 
 struct TuneResult {
@@ -144,9 +167,35 @@ class Evaluator {
   // ranks from).
   virtual std::vector<Analysis> analyze(const std::string& source, int issue,
                                         const std::vector<TuneConfig>& cfgs) = 0;
-  // Compile + simulate; memoized through a content-addressed cache.
+  // Simulate (compiling first what analyze did not keep); memoized through
+  // a content-addressed cache.
   virtual std::vector<Measurement> measure(const std::string& source, int issue,
                                            const std::vector<TuneConfig>& cfgs) = 0;
+};
+
+// One search's plan tree (see the top of this file).  A prefix is keyed by
+// the nest set (tile_size only when tiling is on: nothing else reads it) and
+// runs once however many jobs ask for it at the same time.
+class SearchPlan {
+ public:
+  SearchPlan(std::string source, int issue);
+  ~SearchPlan();
+  SearchPlan(const SearchPlan&) = delete;
+  SearchPlan& operator=(const SearchPlan&) = delete;
+
+  [[nodiscard]] const std::string& source() const { return source_; }
+  [[nodiscard]] int issue() const { return issue_; }
+
+  // `c` compiled and scheduled for the search's issue width, registers not
+  // measured; identical to a one-shot compile of the config.  Errors carry
+  // try_compile_workload's text.  Safe to call from concurrent jobs.
+  [[nodiscard]] Expected<Function> leaf(const TuneConfig& c);
+
+ private:
+  struct Prefixes;
+  std::string source_;
+  int issue_;
+  std::unique_ptr<Prefixes> prefixes_;
 };
 
 // The evaluator: ilpc, the benches, the tests and ilpd all run this one.
@@ -156,13 +205,18 @@ class Evaluator {
 // "measure <config>" span per candidate, and each batch's wall time lands in
 // the tune.phase.search / tune.phase.simulate histograms.
 //
-// A measurement is one call of the measure function per candidate.  The
-// default compiles and simulates the candidate profiled, with the
-// conservation check enforced, memoized in `cache` (null: none) under a
-// "tune-cell" domain key derived from the same shared salt builder as the
-// service cells.  ilpd passes its own, which runs the candidate as a compile
-// cell through its shard cache, so a tuned cell and a compiled cell are one
-// cache entry.
+// analyze compiles every candidate through the SearchPlan of (source,
+// issue), kept until either changes.  A measurement is one call of the
+// measure function per candidate.  The default simulates the leaf analyze
+// built (a config analyze never saw is built through the same tree),
+// profiled, with the conservation check enforced, memoized in `cache`
+// (null: none) under a "tune-cell" domain key derived from the same shared
+// salt builder as the service cells.  ilpd passes its own, which runs the
+// candidate as a compile cell through its shard cache, so a tuned cell and a
+// compiled cell are one cache entry; analyze then keeps no leaves.
+//
+// One search at a time: analyze and measure must not be called concurrently
+// on one evaluator.
 class LocalEvaluator : public Evaluator {
  public:
   using MeasureFn = std::function<Measurement(const std::string& source, int issue,
@@ -171,6 +225,7 @@ class LocalEvaluator : public Evaluator {
   explicit LocalEvaluator(engine::ThreadPool* pool = nullptr,
                           engine::ResultCache* cache = nullptr);
   LocalEvaluator(engine::ThreadPool* pool, MeasureFn measure);
+  ~LocalEvaluator() override;
 
   std::vector<Analysis> analyze(const std::string& source, int issue,
                                 const std::vector<TuneConfig>& cfgs) override;
@@ -178,8 +233,14 @@ class LocalEvaluator : public Evaluator {
                                    const std::vector<TuneConfig>& cfgs) override;
 
  private:
+  SearchPlan& plan_for(const std::string& source, int issue);
+
   engine::ThreadPool* pool_;
-  MeasureFn measure_;
+  engine::ResultCache* cache_ = nullptr;
+  MeasureFn measure_;  // empty: simulate the leaf (memoized in cache_)
+  std::unique_ptr<SearchPlan> plan_;
+  // The last analyze batch's leaves by config order key, for measure.
+  std::unordered_map<std::uint64_t, Function> leaves_;
 };
 
 TuneResult autotune(const std::string& source, const TuneOptions& opts,

@@ -6,18 +6,23 @@
 // called directly (dsl::compile, compile_with_transforms,
 // measure_register_usage), not try_compile_workload, which is itself a
 // one-cell plan; failures must carry try_compile_workload's error text.
+// The tuner's plan tree (tune::SearchPlan) is held to the same standard.
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <future>
+#include <map>
 #include <string>
 #include <vector>
 
 #include "common/fixtures.hpp"
+#include "engine/pool.hpp"
 #include "frontend/compile.hpp"
 #include "harness/experiment.hpp"
 #include "ir/printer.hpp"
 #include "sim/simulator.hpp"
 #include "support/strings.hpp"
+#include "tune/tune.hpp"
 #include "workloads/nest_suite.hpp"
 
 namespace ilp {
@@ -187,6 +192,96 @@ TEST(CellPlan, RandomProgramLeavesMatchUnderList) {
 
 TEST(CellPlan, RandomProgramLeavesMatchUnderModulo) {
   check_random_programs(1, SchedulerKind::Modulo);
+}
+
+// Every config one tuner mutation away from a paper seed: all levels, the
+// unroll grid, both schedulers, each nest flag flipped, tiling at each tile
+// size, and tiling switched off again with a non-default tile size (which
+// shares the untiled prefix).
+std::vector<tune::TuneConfig> tuner_configs() {
+  std::map<std::uint64_t, tune::TuneConfig> out;
+  for (const OptLevel seed_level : kLevels) {
+    tune::TuneConfig seed;
+    seed.level = seed_level;
+    std::vector<tune::TuneConfig> reach;
+    for (const OptLevel l : kLevels) {
+      reach.push_back(seed);
+      reach.back().level = l;
+    }
+    for (const int u : {1, 2, 4, 8, 16}) {
+      reach.push_back(seed);
+      reach.back().unroll = u;
+    }
+    for (const SchedulerKind k : {SchedulerKind::List, SchedulerKind::Modulo}) {
+      reach.push_back(seed);
+      reach.back().scheduler = k;
+    }
+    for (bool NestOptions::*flag : {&NestOptions::interchange, &NestOptions::fuse,
+                                    &NestOptions::fission, &NestOptions::tile}) {
+      reach.push_back(seed);
+      reach.back().nest.*flag = true;
+    }
+    for (const int ts : {4, 8, 16, 32}) {
+      reach.push_back(seed);
+      reach.back().nest.tile = true;
+      reach.back().nest.tile_size = ts;
+    }
+    reach.push_back(seed);
+    reach.back().nest.tile_size = 8;
+    for (const tune::TuneConfig& c : reach) out.emplace(c.order_key(), c);
+  }
+  std::vector<tune::TuneConfig> configs;
+  for (const auto& [key, c] : out) configs.push_back(c);
+  return configs;
+}
+
+void expect_same_features(const tune::IrFeatures& a, const tune::IrFeatures& b,
+                          const std::string& where) {
+  EXPECT_EQ(a.analytic_cycles, b.analytic_cycles) << where;
+  EXPECT_EQ(a.load_slots, b.load_slots) << where;
+  EXPECT_EQ(a.static_insts, b.static_insts) << where;
+  EXPECT_EQ(a.blocks, b.blocks) << where;
+  EXPECT_EQ(a.counted_loops, b.counted_loops) << where;
+  EXPECT_EQ(a.default_loops, b.default_loops) << where;
+}
+
+// Each leaf of a search's tree — built concurrently on a pool, as the tuner's
+// analyze jobs build them — against a direct compile of its config.
+TEST(CellPlan, TunerLeavesMatchDirectCompiles) {
+  const std::vector<tune::TuneConfig> configs = tuner_configs();
+  const int issue = tune::TuneOptions{}.issue;
+  const MachineModel m = MachineModel::issue(issue);
+  engine::ThreadPool pool(4);
+  int leaves = 0;
+  for (const Workload& w : workload_suite()) {
+    tune::SearchPlan plan(w.source, issue);
+    std::vector<std::future<Expected<Function>>> built;
+    for (const tune::TuneConfig& c : configs)
+      built.push_back(pool.submit([&plan, c] { return plan.leaf(c); }));
+    for (std::size_t i = 0; i < configs.size(); ++i) {
+      const tune::TuneConfig& c = configs[i];
+      const std::string where = w.name + " " + c.name();
+      const Expected<Function> leaf = built[i].get();
+      const CompileOptions opts = tune::to_compile_options(c);
+      if (!leaf) {
+        EXPECT_EQ(leaf.error_message(),
+                  try_compile_workload(w, c.level, m, opts).error_message())
+            << where;
+        continue;
+      }
+      DiagnosticEngine diags;
+      auto fresh = dsl::compile(w.source, diags);
+      ASSERT_TRUE(fresh.has_value()) << where;
+      compile_with_transforms(fresh->fn, TransformSet::for_level(c.level), m, opts);
+      EXPECT_EQ(to_string(*leaf), to_string(fresh->fn)) << where;
+      EXPECT_EQ(uids(*leaf), uids(fresh->fn)) << where;
+      expect_same_features(tune::extract_features(*leaf, m),
+                           tune::extract_features(fresh->fn, m), where);
+      ++leaves;
+    }
+    if (::testing::Test::HasFailure()) return;  // one nest's diff is enough
+  }
+  EXPECT_EQ(leaves, static_cast<int>(workload_suite().size() * configs.size()));
 }
 
 TEST(CellPlan, FrontendFailureIsTheOneShotError) {

@@ -3,12 +3,14 @@
 // differential interpreter oracle over tuned fuzz programs.
 #include <gtest/gtest.h>
 
+#include <set>
 #include <string>
 #include <thread>
 
 #include "common/fixtures.hpp"
 #include "common/interp.hpp"
 #include "engine/cache.hpp"
+#include "engine/metrics.hpp"
 #include "engine/pool.hpp"
 #include "frontend/compile.hpp"
 #include "harness/experiment.hpp"
@@ -107,6 +109,42 @@ TEST(Autotune, CountsAreConsistentAndAuditTrailIsComplete) {
   EXPECT_EQ(simulated, r.simulated);
   EXPECT_EQ(pruned, r.pruned);
   EXPECT_EQ(simulated + pruned + failed, r.considered);
+}
+
+// --- Compile work: the plan tree's exact pass counts -------------------------
+
+std::uint64_t pass_count(const char* name) {
+  for (const auto& [n, stat] : engine::MetricsRegistry::global().snapshot())
+    if (n == name) return stat.count;
+  return 0;
+}
+
+// One search runs the frontend and Conv once per nest set it analyzes, the
+// backend once per config, never measures registers, and measures each
+// simulated config on the leaf analyze built: measure compiles nothing.
+TEST(Autotune, SearchCompilesEachPrefixOnceAndEachConfigOnce) {
+  const char* passes[] = {"pass.frontend", "pass.conventional", "pass.regalloc",
+                          "pass.schedule"};
+  std::uint64_t before[4];
+  for (int i = 0; i < 4; ++i) before[i] = pass_count(passes[i]);
+
+  const tune::TuneResult r = tune::autotune(suite_source("APS-1"), tune::TuneOptions{});
+  ASSERT_TRUE(r.ok) << r.error;
+  std::set<std::uint64_t> nest_sets;
+  for (const tune::CandidateEval& e : r.evals) {
+    ASSERT_TRUE(e.ok) << e.config.name();
+    tune::TuneConfig prefix;
+    prefix.nest = e.config.nest;
+    if (!prefix.nest.tile) prefix.nest.tile_size = NestOptions{}.tile_size;
+    nest_sets.insert(prefix.order_key());
+  }
+  EXPECT_GT(nest_sets.size(), 1u);
+  EXPECT_GT(r.simulated, 0u);
+
+  EXPECT_EQ(pass_count("pass.frontend") - before[0], nest_sets.size());
+  EXPECT_EQ(pass_count("pass.conventional") - before[1], nest_sets.size());
+  EXPECT_EQ(pass_count("pass.regalloc") - before[2], 0u);
+  EXPECT_EQ(pass_count("pass.schedule") - before[3], r.evals.size());
 }
 
 TEST(Autotune, RepeatTuningIsServedFromTheCache) {
