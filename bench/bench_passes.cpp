@@ -47,6 +47,14 @@ using namespace ilp;
 const Workload& big_loop() { return *find_workload("NAS-5"); }
 const Workload& small_loop() { return *find_workload("dotprod"); }
 
+// The full Lev pipeline minus the final schedule, so the scheduling
+// benchmarks start from unscheduled IR.
+CompileOptions unscheduled() {
+  CompileOptions opts;
+  opts.schedule = false;
+  return opts;
+}
+
 Function compiled_conv(const Workload& w) {
   DiagnosticEngine d;
   auto r = dsl::compile(w.source, d);
@@ -113,8 +121,7 @@ BENCHMARK(BM_Lev3Transforms);
 void BM_SuperblockSchedule(benchmark::State& state) {
   DiagnosticEngine d;
   auto r = dsl::compile(big_loop().source, d);
-  compile_at_level(r->fn, OptLevel::Lev4, MachineModel::issue(8),
-                   CompileOptions{{8, 160}, /*schedule=*/false});
+  compile_at_level(r->fn, OptLevel::Lev4, MachineModel::issue(8), unscheduled());
   for (auto _ : state) {
     Function fn = r->fn;
     schedule_function(fn, MachineModel::issue(8));
@@ -171,8 +178,7 @@ struct HotPathFixture {
     DiagnosticEngine d;
     auto r = dsl::compile(find_workload("NAS-5")->source, d);
     fn = std::move(r->fn);
-    compile_at_level(fn, OptLevel::Lev4, MachineModel::issue(8),
-                     CompileOptions{{}, /*schedule=*/false});
+    compile_at_level(fn, OptLevel::Lev4, MachineModel::issue(8), unscheduled());
     const Cfg cfg(fn);
     const Dominators dom(cfg);
     preheaders.assign(fn.num_blocks(), kNoBlock);

@@ -1,8 +1,7 @@
 // Runtime trip-count materialization for counted loops, shared by
-// preconditioned unrolling (trans/unroll) and both software pipeliners
-// (trans/swp and the modulo scheduling backend in sched/modulo).  Lives in
-// the analysis library so the scheduling backend can emit trip counts
-// without a trans <-> sched dependency cycle.
+// preconditioned unrolling (trans/unroll) and the modulo scheduling backend
+// (sched/modulo).  Lives in the analysis library so the scheduling backend
+// can emit trip counts without a trans <-> sched dependency cycle.
 #pragma once
 
 #include "analysis/loops.hpp"

@@ -251,7 +251,7 @@ struct ProfiledSim {
 Expected<ProfiledSim> try_simulate_profile(const Function& fn, const MachineModel& m);
 
 // Hard-failing convenience wrappers (abort with the error message), kept for
-// direct callers — the ablation/regpressure/swp benches — where a failure is
+// direct callers — the ablation and regpressure benches — where a failure is
 // a programming error rather than data.
 CompiledLoop compile_workload(const Workload& w, OptLevel level, const MachineModel& m,
                               const CompileOptions& opts = {});

@@ -110,8 +110,8 @@ bool profitable(const LoopPlan& plan) {
 }
 
 // Rewrites `loop` into guard + prologue + kernel + epilogue.  Returns the
-// kernel block id.  Mirrors trans/swp.cpp's block surgery so the fallback
-// discipline (original body intact behind a trip-count guard) is identical.
+// kernel block id.  The original body stays intact behind a trip-count guard
+// (T < S), which is the fallback for trips too short to fill the pipeline.
 BlockId emit_pipeline(Function& fn, const SimpleLoop& loop,
                       const CountedLoopInfo& counted, const ModuloSchedule& sched) {
   const Block& body0 = fn.block(loop.body);

@@ -17,8 +17,8 @@ namespace {
 // packed into one uint64 so the heap compares single integers: greater
 // height wins, ties go to the smaller original index — exactly the
 // scan-and-erase selection rule of the reference scheduler
-// (sched/reference.cpp), which tests/sched/scheduler_diff_test.cpp holds
-// this implementation to.
+// (tests/common/reference_sched.cpp), which tests/sched/scheduler_diff_test.cpp
+// holds this implementation to.
 using ReadyHeap = std::priority_queue<std::uint64_t>;
 
 std::uint64_t pack_ready(int height, std::uint32_t idx) {

@@ -458,14 +458,14 @@ SimResult Simulator::run_impl(Program& prog, const Function& fn, Memory& mem) co
     // While the head instruction waits for `stall_until`, no instruction can
     // issue (in-order): every intervening cycle is a full stall.  Account for
     // them in one step instead of looping through each.
-    if (options_.skip_stall_cycles && stall_until > cycle) {
+    if (stall_until > cycle) {
       const std::uint64_t skipped = stall_until - cycle;
       stall_cycles += skipped;
       if constexpr (kProfile) {
         // Each skipped cycle is a full-width stall with the same blocking
         // cause as the cycle that set `stall_until` (the constraint set is
-        // frozen while the head waits), so attributing them here keeps
-        // skip-on and skip-off profiles identical.
+        // frozen while the head waits), so attributing them here keeps the
+        // profile identical to per-cycle evaluation.
         const auto w = static_cast<std::uint64_t>(width);
         prof->occupancy[0] += skipped;
         prof->slots[static_cast<std::size_t>(cycle_cause)] += skipped * w;

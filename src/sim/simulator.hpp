@@ -20,7 +20,11 @@
 // layout order with empty blocks folded away, branch targets as op indices,
 // latencies resolved, and one register index (ints, then fps, then constant
 // slots for immediates) — and then executes that.  Stores in flight sit in a
-// FIFO of (address, completion cycle) that loads search newest-first.
+// FIFO of (address, completion cycle) that loads search newest-first.  While
+// the head instruction is interlocked the clock jumps straight to the cycle
+// its last blocking operand becomes ready: in-order issue means nothing else
+// can issue meanwhile, so every observable equals per-cycle evaluation
+// (tests/sim/cycle_skip_test.cpp checks this against the reference loop).
 //
 // This model reproduces every issue-time (IT) table in the paper's Figures
 // 1, 3, 5, 6 and 7 exactly (see tests/sim/figures_test.cpp).
@@ -65,13 +69,6 @@ struct SimOptions {
   // function's register count.
   std::vector<std::int64_t> init_ints;
   std::vector<double> init_fps;
-  // When the head instruction is interlocked, jump the clock straight to the
-  // cycle its last blocking operand becomes ready instead of re-evaluating it
-  // every cycle.  Observable behaviour (cycles, stall_cycles, trace, memory,
-  // registers) is identical either way — in-order issue means no later
-  // instruction can issue while the head stalls; tests/sim/cycle_skip_test.cpp
-  // enforces the equivalence.  Off switches back to per-cycle evaluation.
-  bool skip_stall_cycles = true;
   // When non-null, the run attributes every cycle x issue-slot to one cause
   // of the closed taxonomy in sim/profile.hpp (reset() is called on entry).
   // The profiled run's observable output (cycles, stalls, trace, registers,

@@ -5,7 +5,11 @@
 // branches, and forwards stores through an address-keyed ready table.
 //
 // The body below is the pre-decode `Simulator::run_impl` unchanged, with the
-// member references (`machine_`, `options_`) turned into parameters.
+// member references (`machine_`, `options_`) turned into parameters.  It can
+// also step a stalled head one cycle at a time (StallStepping::PerCycle),
+// which the simulator never does: tests/sim/cycle_skip_test.cpp,
+// sim_diff_test.cpp and profile_test.cpp compare against that mode to show
+// the simulator's stall skipping changes no observable.
 // tests/sim/sim_diff_test.cpp requires every observable of the decoded
 // simulator — SimResult fields, final memory, issue trace, cycle profile and
 // error strings — to equal this loop's, on the workload grid, the nest suite
@@ -28,6 +32,11 @@
 #include "support/strings.hpp"
 
 namespace ilp::testing {
+
+// How the reference loop moves the clock past an interlocked head: straight
+// to the cycle its last blocking operand is ready (as Simulator::run does),
+// or one cycle at a time.
+enum class StallStepping : bool { Skip, PerCycle };
 
 namespace reference_detail {
 
@@ -52,7 +61,7 @@ struct Cursor {
 
 template <bool kProfile>
 SimResult reference_run_impl(const MachineModel& machine_, const SimOptions& options_,
-                             const Function& fn, Memory& mem) {
+                             StallStepping stepping, const Function& fn, Memory& mem) {
   SimResult res;
   if (fn.num_blocks() == 0) {
     res.error = "empty function";
@@ -450,7 +459,7 @@ SimResult reference_run_impl(const MachineModel& machine_, const SimOptions& opt
     // While the head instruction waits for `stall_until`, no instruction can
     // issue (in-order): every intervening cycle is a full stall.  Account for
     // them in one step instead of looping through each.
-    if (options_.skip_stall_cycles && stall_until > cycle) {
+    if (stepping == StallStepping::Skip && stall_until > cycle) {
       const std::uint64_t skipped = stall_until - cycle;
       res.stall_cycles += skipped;
       if constexpr (kProfile) {
@@ -481,10 +490,13 @@ SimResult reference_run_impl(const MachineModel& machine_, const SimOptions& opt
 // Runs `fn` to RET on the reference loop, mutating `mem`; dispatches on
 // options.profile exactly as Simulator::run does.
 inline SimResult reference_run(const MachineModel& machine, const SimOptions& options,
-                               const Function& fn, Memory& mem) {
+                               const Function& fn, Memory& mem,
+                               StallStepping stepping = StallStepping::Skip) {
   return options.profile != nullptr
-             ? reference_detail::reference_run_impl<true>(machine, options, fn, mem)
-             : reference_detail::reference_run_impl<false>(machine, options, fn, mem);
+             ? reference_detail::reference_run_impl<true>(machine, options, stepping, fn,
+                                                          mem)
+             : reference_detail::reference_run_impl<false>(machine, options, stepping, fn,
+                                                           mem);
 }
 
 }  // namespace ilp::testing

@@ -17,9 +17,7 @@
 #include "sim/simulator.hpp"
 #include "support/strings.hpp"
 #include "regalloc/assign.hpp"
-#include "sched/scheduler.hpp"
 #include "trans/level.hpp"
-#include "trans/swp.hpp"
 
 namespace ilp {
 namespace {
@@ -105,34 +103,6 @@ TEST(DifferentialFuzz, NarrowAndWideMachinesAgreeFunctionally) {
     // observable state must agree between machine widths.
     ASSERT_EQ(compare_observable(base->fn, w1, w8, 1e-9), "") << src;
     EXPECT_LE(w8.result.cycles, w1.result.cycles) << src;
-  }
-}
-
-TEST(DifferentialFuzz, SoftwarePipeliningPreservesRandomPrograms) {
-  const std::uint64_t n = 300 + fuzz_seed_count(31) - 1;
-  for (std::uint64_t seed = 300; seed <= n; ++seed) {
-    const std::string src = random_program(seed);
-    DiagnosticEngine d0;
-    auto base = dsl::compile(src, d0);
-    ASSERT_TRUE(base.has_value());
-    const RunOutcome want = run_seeded(base->fn, MachineModel::issue(8));
-    ASSERT_TRUE(want.result.ok) << want.result.error;
-
-    for (int stages : {2, 3}) {
-      DiagnosticEngine d1;
-      auto r = dsl::compile(src, d1);
-      const MachineModel m = MachineModel::issue(8);
-      CompileOptions copts;
-      copts.schedule = false;
-      compile_at_level(r->fn, OptLevel::Lev4, m, copts);
-      SwpOptions so;
-      so.stages = stages;
-      software_pipeline(r->fn, m, so);
-      schedule_function(r->fn, m);
-      const RunOutcome got = run_seeded(r->fn, m);
-      ASSERT_EQ(compare_observable(base->fn, want, got, 1e-6), "")
-          << "seed=" << seed << " stages=" << stages << "\n" << src;
-    }
   }
 }
 

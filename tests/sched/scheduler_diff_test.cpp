@@ -1,16 +1,17 @@
 // Differential tests: the optimized dependence graph + heap-based list
 // scheduler must produce byte-identical schedules to the retained reference
-// implementations (sched/reference.hpp) for every block of every workload in
-// the study grid.  This is the contract that lets the hot path change its
-// data structures freely: same issue_time, same order, same makespan.
+// implementations (common/reference_sched.hpp) for every block of every
+// workload in the study grid, and of the modulo backend's pipelined code.
+// This is the contract that lets the hot path change its data structures
+// freely: same issue_time, same order, same makespan.
 #include <gtest/gtest.h>
 
 #include "analysis/depgraph.hpp"
+#include "common/reference_sched.hpp"
 #include "harness/experiment.hpp"
 #include "machine/machine.hpp"
-#include "sched/reference.hpp"
+#include "sched/modulo/modulo.hpp"
 #include "sched/scheduler.hpp"
-#include "trans/swp.hpp"
 #include "workloads/suite.hpp"
 
 namespace ilp {
@@ -88,18 +89,18 @@ TEST(SchedulerDiff, ScheduleFunctionMatchesReferencePipeline) {
 // Software-pipelined code is the scheduler's hardest input: the kernel block
 // mixes instructions from several iterations with non-trivial cross-stage
 // dependences, and the prologue/epilogue blocks are long and straight-line.
-// Both pipelines must still agree on every block.
+// Both pipelines must still agree on every block of the modulo backend's
+// output.
 TEST(SchedulerDiff, SoftwarePipelinedSchedulesMatchReference) {
+  int loops_pipelined = 0;
   for (const Workload& w : workload_suite()) {
-    for (int width : {2, 8}) {
-      for (int stages : {2, 3}) {
+    for (OptLevel level : kLevels) {
+      for (int width : {2, 8}) {
         const MachineModel m = MachineModel::issue(width);
-        auto compiled = compile_unscheduled(w, OptLevel::Lev4, m);
+        auto compiled = compile_unscheduled(w, level, m);
         if (!compiled) continue;
         Function opt_fn = compiled->fn;
-        SwpOptions so;
-        so.stages = stages;
-        software_pipeline(opt_fn, m, so);
+        loops_pipelined += modulo_pipeline_function(opt_fn, m).loops_pipelined;
         Function ref_fn = opt_fn;  // identical pipelined IR into both schedulers
         schedule_function(opt_fn, m);
         reference_schedule_function(ref_fn, m);
@@ -107,31 +108,31 @@ TEST(SchedulerDiff, SoftwarePipelinedSchedulesMatchReference) {
         for (const Block& b : opt_fn.blocks()) {
           const Block& rb = ref_fn.block(b.id);
           ASSERT_EQ(b.insts.size(), rb.insts.size())
-              << w.name << " swp-" << stages << " issue-" << width << " block "
-              << b.id;
+              << w.name << " " << level_name(level) << " modulo issue-" << width
+              << " block " << b.id;
           for (std::size_t i = 0; i < b.insts.size(); ++i) {
             ASSERT_EQ(b.insts[i].uid, rb.insts[i].uid)
-                << w.name << " swp-" << stages << " issue-" << width << " block "
-                << b.id << " position " << i;
+                << w.name << " " << level_name(level) << " modulo issue-" << width
+                << " block " << b.id << " position " << i;
           }
         }
       }
     }
   }
+  EXPECT_GT(loops_pipelined, 0);
 }
 
 // Per-block differential over pipelined kernels through the raw scheduler
 // entry points (DepGraph vs RefDepGraph), as the study-grid test does for
 // the unpipelined IR.
 TEST(SchedulerDiff, PipelinedBlockSchedulesMatchReference) {
+  int loops_pipelined = 0;
   for (const Workload& w : workload_suite()) {
     const MachineModel m = MachineModel::issue(4);
     auto compiled = compile_unscheduled(w, OptLevel::Lev4, m);
     if (!compiled) continue;
     Function fn = compiled->fn;
-    SwpOptions so;
-    so.stages = 2;
-    software_pipeline(fn, m, so);
+    loops_pipelined += modulo_pipeline_function(fn, m).loops_pipelined;
     const ScheduleAnalyses analyses(fn);
     for (const Block& b : fn.blocks()) {
       if (b.insts.size() < 2) continue;
@@ -144,6 +145,7 @@ TEST(SchedulerDiff, PipelinedBlockSchedulesMatchReference) {
       ASSERT_EQ(got.makespan, want.makespan) << w.name << " block " << b.id;
     }
   }
+  EXPECT_GT(loops_pipelined, 0);
 }
 
 }  // namespace

@@ -1,13 +1,15 @@
-// Equivalence tests for the simulator's stall cycle-skipping
-// (SimOptions::skip_stall_cycles): skipping straight to the blocking
-// operand's ready cycle must leave every observable — cycles, instructions,
-// branches, stall_cycles, the issue trace, final memory and registers —
-// identical to per-cycle evaluation.  Also regression-tests the simulator's
-// store forwarding against aliasing stores and many distinct addresses.
+// Equivalence tests for the simulator's stall cycle-skipping: skipping
+// straight to the blocking operand's ready cycle must leave every observable —
+// cycles, instructions, branches, stall_cycles, the issue trace, final memory
+// and registers — identical to per-cycle evaluation, which only the reference
+// loop (tests/common/reference_sim.hpp) still performs.  Also regression-tests
+// the simulator's store forwarding against aliasing stores and many distinct
+// addresses.
 #include <gtest/gtest.h>
 
 #include <vector>
 
+#include "common/reference_sim.hpp"
 #include "harness/experiment.hpp"
 #include "ir/builder.hpp"
 #include "machine/machine.hpp"
@@ -22,19 +24,30 @@ struct TracedRun {
   std::vector<IssueEvent> trace;
 };
 
-TracedRun run_traced(const Function& fn, const MachineModel& m, bool skip) {
+// The simulator, which always skips stalls.
+TracedRun run_traced(const Function& fn, const MachineModel& m) {
   TracedRun r;
   SimOptions opts;
-  opts.skip_stall_cycles = skip;
   opts.trace = &r.trace;
   r.out = run_seeded(fn, m, std::move(opts));
   return r;
 }
 
+// The reference loop on the same seeded memory, stepping every stall cycle.
+TracedRun run_traced_per_cycle(const Function& fn, const MachineModel& m) {
+  TracedRun r;
+  SimOptions opts;
+  opts.trace = &r.trace;
+  seed_arrays(fn, r.out.memory);
+  r.out.result = testing::reference_run(m, opts, fn, r.out.memory,
+                                        testing::StallStepping::PerCycle);
+  return r;
+}
+
 void expect_equivalent(const Function& fn, const MachineModel& m,
                        const std::string& label) {
-  const TracedRun on = run_traced(fn, m, /*skip=*/true);
-  const TracedRun off = run_traced(fn, m, /*skip=*/false);
+  const TracedRun on = run_traced(fn, m);
+  const TracedRun off = run_traced_per_cycle(fn, m);
   ASSERT_EQ(on.out.result.ok, off.out.result.ok) << label;
   if (!on.out.result.ok) return;
   EXPECT_EQ(on.out.result.cycles, off.out.result.cycles) << label;
@@ -49,8 +62,8 @@ void expect_equivalent(const Function& fn, const MachineModel& m,
   EXPECT_EQ(compare_observable(fn, on.out, off.out), "") << label;
 }
 
-// Every workload, compiled at every level, simulated with skipping on and
-// off on narrow and wide machines.  Widths 1 and 8 bracket the grid: width 1
+// Every workload, compiled at every level, simulated with skipping and per
+// cycle on narrow and wide machines.  Widths 1 and 8 bracket the grid: width 1
 // maximizes stall runs (best case for skipping), width 8 exercises partial
 // issue cycles before a stall.
 TEST(CycleSkip, EquivalentAcrossWorkloads) {
@@ -90,8 +103,8 @@ TEST(CycleSkip, LoadWaitsForLatestAliasingStore) {
   MachineModel m = MachineModel::issue(1);
   m.lat_store = 6;
 
-  const TracedRun on = run_traced(fn, m, /*skip=*/true);
-  const TracedRun off = run_traced(fn, m, /*skip=*/false);
+  const TracedRun on = run_traced(fn, m);
+  const TracedRun off = run_traced_per_cycle(fn, m);
   ASSERT_TRUE(on.out.result.ok) << on.out.result.error;
   ASSERT_TRUE(off.out.result.ok) << off.out.result.error;
   // Issue-1 timeline: ldi@0, ldi@1, ldi@2, st@3, st@4, ld waits until the

@@ -9,13 +9,16 @@
 //   * Off-path purity: SimOptions::profile == nullptr is byte-identical to
 //     the pre-profiler simulator — cycles, instructions, branches, stalls,
 //     the issue trace, final memory and registers all match exactly.
-//   * Skip equivalence: stall-cycle skipping must not change attribution.
+//   * Skip equivalence: the simulator's stall-cycle skipping attributes every
+//     slot as the reference loop stepping each cycle does
+//     (tests/common/reference_sim.hpp).
 #include <gtest/gtest.h>
 
 #include <string>
 #include <vector>
 
 #include "common/fixtures.hpp"
+#include "common/reference_sim.hpp"
 #include "frontend/compile.hpp"
 #include "harness/experiment.hpp"
 #include "sim/profile.hpp"
@@ -36,13 +39,22 @@ struct ProfiledRun {
   CycleProfile profile;
 };
 
-ProfiledRun run_profiled(const Function& fn, const MachineModel& m,
-                         bool skip = true) {
+ProfiledRun run_profiled(const Function& fn, const MachineModel& m) {
   ProfiledRun r;
   SimOptions opts;
-  opts.skip_stall_cycles = skip;
   opts.profile = &r.profile;
   r.out = run_seeded(fn, m, std::move(opts));
+  return r;
+}
+
+// The reference loop on the same seeded memory, stepping every stall cycle.
+ProfiledRun run_profiled_per_cycle(const Function& fn, const MachineModel& m) {
+  ProfiledRun r;
+  SimOptions opts;
+  opts.profile = &r.profile;
+  seed_arrays(fn, r.out.memory);
+  r.out.result = testing::reference_run(m, opts, fn, r.out.memory,
+                                        testing::StallStepping::PerCycle);
   return r;
 }
 
@@ -115,8 +127,8 @@ TEST(ProfileConservation, NestSuiteWithRestructuring) {
 
 // Fuzz corpus: random programs through the full pipeline.  Width and
 // scheduler rotate with the seed so the corpus covers the whole grid while
-// every level sees every seed; skip-on and skip-off attribution must agree
-// slot for slot.
+// every level sees every seed; the simulator's attribution must agree slot
+// for slot with the reference stepping every stall cycle.
 TEST(ProfileConservation, FuzzCorpusAndSkipEquivalence) {
   const std::uint64_t n = fuzz_seed_count(200);
   for (std::uint64_t seed = 1; seed <= n; ++seed) {
@@ -136,9 +148,9 @@ TEST(ProfileConservation, FuzzCorpusAndSkipEquivalence) {
       const std::string label = "seed=" + std::to_string(seed) + " " +
                                 level_name(level) + " issue-" +
                                 std::to_string(width);
-      const ProfiledRun skip_on = run_profiled(r->fn, m, /*skip=*/true);
+      const ProfiledRun skip_on = run_profiled(r->fn, m);
       expect_conserves(skip_on, label);
-      const ProfiledRun skip_off = run_profiled(r->fn, m, /*skip=*/false);
+      const ProfiledRun skip_off = run_profiled_per_cycle(r->fn, m);
       expect_conserves(skip_off, label + " noskip");
       expect_same_profile(skip_on.profile, skip_off.profile, label);
     }

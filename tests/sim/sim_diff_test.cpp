@@ -5,8 +5,9 @@
 // each SimResult field (error string included), the final memory, the full
 // issue trace and every CycleProfile field — on the workload grid under both
 // schedulers, the nest suite, a random-program corpus (scaled by
-// ILP_FUZZ_SEEDS), with stall skipping on and off, a long store latency,
-// initial register values, and every error path.
+// ILP_FUZZ_SEEDS), against the reference skipping stalls and stepping them
+// one cycle at a time, with a long store latency, initial register values,
+// and every error path.
 #include <gtest/gtest.h>
 
 #include <bit>
@@ -30,6 +31,7 @@ namespace {
 
 using testing::fuzz_seed_count;
 using testing::random_program;
+using testing::StallStepping;
 
 struct Side {
   SimResult result;
@@ -49,10 +51,12 @@ Memory flat_copy(const Memory& seeded) {
   return out;
 }
 
-// One run of each simulator on identically seeded memory.  Unprofiled runs
-// record the whole issue trace; profiled runs fill `profile`.
+// One run of each simulator on identically seeded memory, the reference
+// stepping stalls as `stepping` says.  Unprofiled runs record the whole issue
+// trace; profiled runs fill `profile`.
 std::pair<Side, Side> run_both(const Function& fn, const MachineModel& m,
-                               const SimOptions& base, bool profiled) {
+                               const SimOptions& base, bool profiled,
+                               StallStepping stepping = StallStepping::Skip) {
   Side got, want;
   seed_arrays(fn, got.memory);
   want.memory = flat_copy(got.memory);
@@ -67,7 +71,7 @@ std::pair<Side, Side> run_both(const Function& fn, const MachineModel& m,
     got_opts.trace_limit = want_opts.trace_limit = std::size_t{1} << 22;
   }
   got.result = Simulator(m, got_opts).run(fn, got.memory);
-  want.result = testing::reference_run(m, want_opts, fn, want.memory);
+  want.result = testing::reference_run(m, want_opts, fn, want.memory, stepping);
   return {std::move(got), std::move(want)};
 }
 
@@ -112,9 +116,10 @@ void expect_same(const Side& got, const Side& want, const std::string& label) {
 // Unprofiled (with trace) and profiled runs of `fn`, each against the
 // reference.
 void expect_matches_reference(const Function& fn, const MachineModel& m,
-                              const std::string& label, const SimOptions& base = {}) {
+                              const std::string& label, const SimOptions& base = {},
+                              StallStepping stepping = StallStepping::Skip) {
   for (bool profiled : {false, true}) {
-    const auto [got, want] = run_both(fn, m, base, profiled);
+    const auto [got, want] = run_both(fn, m, base, profiled, stepping);
     expect_same(got, want, label + (profiled ? " profiled" : ""));
   }
 }
@@ -147,8 +152,8 @@ TEST_P(SimDiffGrid, WorkloadsBothSchedulers) {
 
 INSTANTIATE_TEST_SUITE_P(Widths, SimDiffGrid, ::testing::ValuesIn(kIssueWidths));
 
-// Nest-restructured CFGs (fused, interchanged, tiled loops), stall skipping
-// on and off.
+// Nest-restructured CFGs (fused, interchanged, tiled loops), against the
+// reference skipping stalls and stepping them per cycle.
 TEST(SimDiff, NestSuiteSkipOnAndOff) {
   CompileOptions copts;
   copts.nest.fuse = true;
@@ -160,14 +165,12 @@ TEST(SimDiff, NestSuiteSkipOnAndOff) {
         const MachineModel m = MachineModel::issue(width);
         auto compiled = try_compile_workload(w, level, m, copts);
         ASSERT_TRUE(compiled.has_value()) << compiled.error_message();
-        for (bool skip : {true, false}) {
-          SimOptions opts;
-          opts.skip_stall_cycles = skip;
+        for (StallStepping stepping : {StallStepping::Skip, StallStepping::PerCycle}) {
           expect_matches_reference(
               compiled->fn, m,
               cell_label(w.name, level, width, SchedulerKind::List) +
-                  (skip ? "" : " noskip"),
-              opts);
+                  (stepping == StallStepping::Skip ? "" : " noskip"),
+              {}, stepping);
         }
       }
     }
@@ -175,8 +178,8 @@ TEST(SimDiff, NestSuiteSkipOnAndOff) {
 }
 
 // Random programs through the full pipeline: width and scheduler rotate
-// with the seed, every level sees every seed, odd seeds run with stall
-// skipping off, and every fourth seed starts from nonzero registers.
+// with the seed, every level sees every seed, odd seeds run the reference
+// per cycle, and every fourth seed starts from nonzero registers.
 TEST(SimDiff, FuzzCorpus) {
   const std::uint64_t n = fuzz_seed_count(200);
   for (std::uint64_t seed = 1; seed <= n; ++seed) {
@@ -184,8 +187,9 @@ TEST(SimDiff, FuzzCorpus) {
     const int width = kIssueWidths[seed % kIssueWidths.size()];
     const SchedulerKind sched = seed % 2 == 0 ? SchedulerKind::Modulo : SchedulerKind::List;
     const MachineModel m = MachineModel::issue(width);
+    const StallStepping stepping =
+        seed % 2 == 0 ? StallStepping::Skip : StallStepping::PerCycle;
     SimOptions opts;
-    opts.skip_stall_cycles = seed % 2 == 0;
     if (seed % 4 == 0) {
       opts.init_ints = {3, -7, 11, static_cast<std::int64_t>(seed)};
       opts.init_fps = {0.5, -1.25, static_cast<double>(seed)};
@@ -199,13 +203,14 @@ TEST(SimDiff, FuzzCorpus) {
       compile_at_level(r->fn, level, m, copts);
       expect_matches_reference(
           r->fn, m, "seed=" + std::to_string(seed) + " " + cell_label("", level, width, sched),
-          opts);
+          opts, stepping);
     }
   }
 }
 
 // A store latency of 6 keeps up to issue_width x 6 stores in flight, so
-// loads search a deep store queue; narrow and wide machines, skip on and off.
+// loads search a deep store queue; narrow and wide machines, the reference
+// skipping stalls and stepping them per cycle.
 TEST(SimDiff, LongStoreLatency) {
   for (int width : {1, 8}) {
     MachineModel m = MachineModel::issue(width);
@@ -214,14 +219,12 @@ TEST(SimDiff, LongStoreLatency) {
       for (OptLevel level : {OptLevel::Conv, OptLevel::Lev4}) {
         auto compiled = try_compile_workload(w, level, m);
         ASSERT_TRUE(compiled.has_value()) << compiled.error_message();
-        for (bool skip : {true, false}) {
-          SimOptions opts;
-          opts.skip_stall_cycles = skip;
+        for (StallStepping stepping : {StallStepping::Skip, StallStepping::PerCycle}) {
           expect_matches_reference(
               compiled->fn, m,
               cell_label(w.name, level, width, SchedulerKind::List) + " lat_store=6" +
-                  (skip ? "" : " noskip"),
-              opts);
+                  (stepping == StallStepping::Skip ? "" : " noskip"),
+              {}, stepping);
         }
       }
     }
@@ -264,13 +267,12 @@ TEST(SimDiff, AliasingStoresInFlight) {
     for (int width : {1, 2, 4, 8}) {
       MachineModel m = MachineModel::issue(width);
       m.lat_store = lat_store;
-      for (bool skip : {true, false}) {
-        SimOptions opts;
-        opts.skip_stall_cycles = skip;
+      for (StallStepping stepping : {StallStepping::Skip, StallStepping::PerCycle}) {
         expect_matches_reference(fn, m,
                                  "alias lat_store=" + std::to_string(lat_store) + " issue-" +
-                                     std::to_string(width) + (skip ? "" : " noskip"),
-                                 opts);
+                                     std::to_string(width) +
+                                     (stepping == StallStepping::Skip ? "" : " noskip"),
+                                 {}, stepping);
       }
     }
   }

@@ -1,9 +1,10 @@
 // Golden pin of the whole transformation pipeline's output, byte for byte.
 //
-// The scheduler has its own differential oracle (sched/reference.hpp); this
-// file is the same contract for everything upstream of the scheduler: every
-// workload x Lev0-4 x issue width is compiled through the full pipeline and
-// the printed IR is hashed against a checked-in golden file.  The goldens
+// The scheduler has its own differential oracle
+// (tests/common/reference_sched.hpp); this file is the same contract for
+// everything upstream of the scheduler: every workload x Lev0-4 x issue width
+// is compiled through the full pipeline and the printed IR is hashed against
+// a checked-in golden file.  The goldens
 // were captured from the pre-arena pass implementations (unordered_map /
 // returned-vector scratch, after normalizing candidate iteration to program
 // order), so they prove the arena-backed dense structures changed *nothing*
