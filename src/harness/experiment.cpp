@@ -30,6 +30,14 @@ Error stage_error(const std::string& name, OptLevel level, const char* what) {
                          what)};
 }
 
+// Beside pass.simulate: the dynamic instructions simulated, and how many of
+// them had their timing fast-forwarded (SimResult::ff_instructions).
+void count_simulated(const SimResult& r) {
+  engine::MetricsRegistry& reg = engine::MetricsRegistry::global();
+  reg.add_count("sim.instructions", r.instructions);
+  reg.add_count("sim.ff_instructions", r.ff_instructions);
+}
+
 }  // namespace
 
 Expected<LoopPlan> LoopPlan::build(const Workload& w, const CompileOptions& opts) {
@@ -141,6 +149,7 @@ Expected<CompiledLoop> try_compile_workload(const Workload& w, OptLevel level,
 Expected<std::uint64_t> try_simulate_cycles(const Function& fn, const MachineModel& m) {
   engine::ScopedTimer timer("pass.simulate");
   const RunOutcome out = run_seeded(fn, m);
+  count_simulated(out.result);
   if (!out.result.ok) return Error{"simulation failed: " + out.result.error};
   return out.result.cycles;
 }
@@ -151,6 +160,7 @@ Expected<ProfiledSim> try_simulate_profile(const Function& fn, const MachineMode
   SimOptions opts;
   opts.profile = &out.profile;
   RunOutcome run = run_seeded(fn, m, std::move(opts));
+  count_simulated(run.result);
   if (!run.result.ok) return Error{"simulation failed: " + run.result.error};
   out.result = std::move(run.result);
   return out;

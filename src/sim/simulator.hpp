@@ -26,6 +26,27 @@
 // can issue meanwhile, so every observable equals per-cycle evaluation
 // (tests/sim/cycle_skip_test.cpp checks this against the reference loop).
 //
+// Repeating loop iterations are timed once, not once each.  In-order timing
+// depends only on the scoreboard relative to the current cycle, so at every
+// loop-head entry that starts a cycle (a taken back edge just ended the
+// last one) with no store in flight, the run loop snapshots each register's
+// ready - cycle, clipped at 0.  When a head's snapshot equals the one from
+// its previous entry, the next iteration is timed precisely while its path
+// (the control outcomes) and, per load, the stores in flight at it are
+// recorded: the period.  If it ends with the same snapshot again and no load
+// in it waited on a store, later iterations along the same path cost the
+// same cycles, stalls, branches and profile slots.  Skip mode runs them as
+// straight-line code for values only, guarding each branch outcome against
+// the path and each load against the stores in flight at its position, and
+// adds the period's deltas per completed iteration.  A guard that fails, a
+// fault, an instruction budget that would run out within the iteration, or
+// the loop's exit undoes the partial iteration's register and memory writes
+// and resumes precise timing at its start, with the scoreboard rebuilt as
+// cycle + snapshot.  Every SimResult field, error text, memory, register
+// and profile count is therefore that of timing each instruction
+// (tests/sim/sim_diff_test.cpp).  A run recording an issue trace stays
+// precise until the trace is full.
+//
 // This model reproduces every issue-time (IT) table in the paper's Figures
 // 1, 3, 5, 6 and 7 exactly (see tests/sim/figures_test.cpp).
 #pragma once
@@ -86,6 +107,10 @@ struct SimResult {
   std::uint64_t instructions = 0;  // dynamically issued
   std::uint64_t branches = 0;      // dynamic control instructions
   std::uint64_t stall_cycles = 0;  // cycles where slot 0 could not issue
+  // Of `instructions`, those whose timing came from a repeated steady-state
+  // period instead of the issue loop (diagnostic; every other field is the
+  // same either way).
+  std::uint64_t ff_instructions = 0;
   RegFile regs;
 };
 

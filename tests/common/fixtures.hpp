@@ -8,6 +8,7 @@
 #include <cstdlib>
 #include <functional>
 #include <string>
+#include <vector>
 
 #include "ir/builder.hpp"
 #include "ir/function.hpp"
@@ -517,6 +518,120 @@ inline Function make_fig7_expr() {
   fn.add_live_out(rA);
   fn.renumber();
   return fn;
+}
+
+// --- Loops that leave their steady state -------------------------------------
+//
+// Each loop runs long enough for the simulator to fast-forward its repeating
+// iterations (sim/simulator.cpp), then changes behaviour at iteration
+// kSteadyBreak — a branch outcome, a store->load alias, a fault — so the
+// simulator must fall back to precise timing mid-way and still reproduce
+// every observable of the step-by-step reference.
+
+inline constexpr std::int64_t kSteadyBreak = 40;
+inline constexpr std::int64_t kSteadyTrips = 64;
+
+struct SteadyStateCase {
+  std::string name;
+  Function fn;
+};
+
+// The loop skeleton, in layout order: entry sets i = 0 and s = 0; `body`
+// emits one iteration's work into the loop block and, when it branches to
+// `latch` (skipping it), into the `slow` block; the latch counts i to
+// kSteadyTrips.  s is live out.
+inline Function make_steady_loop(
+    const std::string& name,
+    const std::function<void(Function&, IRBuilder&, Reg i, Reg s, BlockId slow,
+                             BlockId latch)>& body) {
+  Function fn(name);
+  IRBuilder b(fn);
+  const BlockId entry = b.create_block("entry");
+  const BlockId loop = b.create_block("loop");
+  const BlockId slow = b.create_block("slow");
+  const BlockId latch = b.create_block("latch");
+  const BlockId exit = b.create_block("exit");
+  b.set_block(entry);
+  const Reg i = b.ldi(0);
+  const Reg s = b.ldi(0);
+  b.set_block(loop);
+  body(fn, b, i, s, slow, latch);
+  b.set_block(latch);
+  b.iaddi_to(i, i, 1);
+  b.bri(Opcode::BLT, i, kSteadyTrips, loop);
+  b.set_block(exit);
+  fn.add_live_out(s);
+  b.ret();
+  fn.renumber();
+  return fn;
+}
+
+inline std::vector<SteadyStateCase> steady_state_breaks() {
+  std::vector<SteadyStateCase> cases;
+  // A branch skips a slow multiply chain on every iteration but one: the
+  // path changes once, then the old steady state returns.
+  cases.push_back({"branch-flips-once",
+                   make_steady_loop("flip1", [](Function&, IRBuilder& b, Reg i, Reg s,
+                                                BlockId slow, BlockId latch) {
+                     b.iadd_to(s, s, i);
+                     b.bri(Opcode::BNE, i, kSteadyBreak, latch);
+                     b.set_block(slow);
+                     const Reg t = b.imul(b.imul(s, s), s);
+                     b.iadd_to(s, s, t);
+                   })});
+  // From kSteadyBreak on the branch falls through every time: a second
+  // steady state on a longer path.
+  cases.push_back({"branch-flips-for-good",
+                   make_steady_loop("flip2", [](Function&, IRBuilder& b, Reg i, Reg s,
+                                                BlockId slow, BlockId latch) {
+                     b.iadd_to(s, s, i);
+                     b.bri(Opcode::BLT, i, kSteadyBreak, latch);
+                     b.set_block(slow);
+                     const Reg t = b.imul(s, i);
+                     b.iadd_to(s, s, t);
+                   })});
+  // Every iteration stores A[i] and then loads A[kSteadyBreak]: the load
+  // reads the store it may have to wait for only once, after the loop has
+  // long repeated.
+  cases.push_back({"late-alias",
+                   make_steady_loop("alias", [](Function& fn, IRBuilder& b, Reg i, Reg s,
+                                                BlockId, BlockId) {
+                     const std::int32_t A = fn.add_array({"A", 0x10000, 4, kSteadyTrips, false});
+                     const std::int64_t base = fn.array(A)->base;
+                     const Reg off = b.ishli(i, 2);
+                     b.st(off, base, b.iaddi(i, 7), A);
+                     const Reg zero = b.ldi(0);
+                     const Reg y = b.ld(zero, base + 4 * kSteadyBreak, A);
+                     b.iadd_to(s, s, y);
+                   })});
+  // The same alias across the back edge: the load opens the iteration and
+  // the store closes it, so with a long store latency the store is still
+  // in flight when the next iteration's load issues.
+  cases.push_back({"late-alias-across-iterations",
+                   make_steady_loop("alias2", [](Function& fn, IRBuilder& b, Reg i, Reg s,
+                                                 BlockId, BlockId) {
+                     const std::int32_t A = fn.add_array({"A", 0x10000, 4, kSteadyTrips, false});
+                     const std::int64_t base = fn.array(A)->base;
+                     const Reg zero = b.ldi(0);
+                     const Reg y = b.ld(zero, base + 4 * kSteadyBreak, A);
+                     b.iadd_to(s, s, y);
+                     b.st(b.ishli(i, 2), base, b.iaddi(i, 7), A);
+                   })});
+  // 1000 / (i - kSteadyBreak) divides by zero mid-run.
+  cases.push_back({"divide-by-zero",
+                   make_steady_loop("div0", [](Function&, IRBuilder& b, Reg i, Reg s, BlockId,
+                                               BlockId) {
+                     const Reg q = b.idiv(b.ldi(1000), b.isubi(i, kSteadyBreak));
+                     b.iadd_to(s, s, q);
+                   })});
+  // ftoi(i * 2.4e17) leaves the int64 range at i = 39.
+  cases.push_back({"ftoi-out-of-range",
+                   make_steady_loop("ftoi", [](Function&, IRBuilder& b, Reg i, Reg s, BlockId,
+                                               BlockId) {
+                     const Reg z = b.ftoi(b.fmuli(b.itof(i), 2.4e17));
+                     b.iadd_to(s, s, b.iremi(z, 1000));
+                   })});
+  return cases;
 }
 
 }  // namespace ilp::testing

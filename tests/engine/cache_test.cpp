@@ -189,7 +189,9 @@ TEST(ResultCache, ContendedDiskTierNeverServesTornEntries) {
   ResultCache fresh(dir.path);
   for (std::uint64_t key = 0; key < kKeys; ++key) {
     const auto got = fresh.lookup(key);
-    if (got) EXPECT_EQ(*got, payload_for(key)) << "key " << key;
+    if (got) {
+      EXPECT_EQ(*got, payload_for(key)) << "key " << key;
+    }
   }
 }
 

@@ -2,7 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include "engine/metrics.hpp"
 #include "harness/report.hpp"
+#include "workloads/suite.hpp"
 
 namespace ilp {
 namespace {
@@ -25,7 +27,9 @@ TEST(Experiment, StudyShapesAreSane) {
       for (std::size_t wi = 0; wi < kIssueWidths.size(); ++wi) {
         EXPECT_GT(l.cycles[li][wi], 0u) << l.name;
         // Wider machines never hurt (same code, more slots).
-        if (wi > 0) EXPECT_LE(l.cycles[li][wi], l.cycles[li][wi - 1]) << l.name;
+        if (wi > 0) {
+          EXPECT_LE(l.cycles[li][wi], l.cycles[li][wi - 1]) << l.name;
+        }
       }
       EXPECT_GT(l.regs[li].total(), 0) << l.name;
     }
@@ -61,6 +65,29 @@ TEST(Experiment, MeansAndFiltersAgree) {
 TEST(Experiment, RegisterUsageGrowsWithLevels) {
   const StudyResult s = run_study(mini_suite());
   EXPECT_GT(s.mean_registers(OptLevel::Lev4), s.mean_registers(OptLevel::Conv));
+}
+
+// The simulator's books on the paper's 800-cell study.  Both counters are
+// exact, so this gates the fast-forward's mechanism, never a wall time:
+// every cell's dynamic instructions are counted once (37.626 k per cell),
+// and nearly all of them are timed by repeating a recorded steady-state
+// period (sim/simulator.cpp).
+TEST(Experiment, StudySimulationIsFastForwarded) {
+  const auto count = [](const char* name) -> std::uint64_t {
+    for (const auto& [n, stat] : engine::MetricsRegistry::global().snapshot())
+      if (n == name) return stat.count;
+    return 0;
+  };
+  const std::uint64_t instructions_before = count("sim.instructions");
+  const std::uint64_t ff_before = count("sim.ff_instructions");
+  const StudyResult s = run_study(workload_suite());
+  ASSERT_EQ(s.stats.cells, 800u);
+  ASSERT_EQ(s.stats.failed_cells, 0u);
+  const std::uint64_t instructions = count("sim.instructions") - instructions_before;
+  const std::uint64_t ff = count("sim.ff_instructions") - ff_before;
+  EXPECT_EQ(instructions, 30'100'724u);
+  EXPECT_EQ(ff, 29'544'000u);
+  EXPECT_GE(ff * 10, instructions * 9);
 }
 
 TEST(Report, HistogramCountsSumToLoopCount) {

@@ -196,6 +196,34 @@ TEST(ProfileOffPath, ByteIdenticalObservables) {
   }
 }
 
+// The same identity, untraced (so both runs fast-forward repeating
+// iterations), on loops that leave their steady state mid-run: a profiled
+// run's fallback to precise timing restores the profile as exactly as the
+// scoreboard, and a failed run stops at the same instruction either way.
+TEST(ProfileOffPath, SteadyStateBreaks) {
+  for (const testing::SteadyStateCase& c : testing::steady_state_breaks()) {
+    for (int width : {1, 2, 4, 8}) {
+      const MachineModel m = MachineModel::issue(width);
+      const std::string label = c.name + " issue-" + std::to_string(width);
+      const ProfiledRun on = run_profiled(c.fn, m);
+      const RunOutcome off = run_seeded(c.fn, m);
+      EXPECT_EQ(on.out.result.ok, off.result.ok) << label;
+      EXPECT_EQ(on.out.result.error, off.result.error) << label;
+      EXPECT_EQ(on.out.result.cycles, off.result.cycles) << label;
+      EXPECT_EQ(on.out.result.instructions, off.result.instructions) << label;
+      EXPECT_EQ(on.out.result.branches, off.result.branches) << label;
+      EXPECT_EQ(on.out.result.stall_cycles, off.result.stall_cycles) << label;
+      EXPECT_EQ(on.out.result.ff_instructions, off.result.ff_instructions) << label;
+      EXPECT_GT(off.result.ff_instructions, 0u) << label;
+      EXPECT_TRUE(on.out.memory == off.memory) << label;
+      if (!off.result.ok) continue;
+      EXPECT_EQ(compare_observable(c.fn, on.out, off, /*fp_tolerance=*/0.0), "") << label;
+      expect_conserves(on, label);
+      expect_same_profile(on.profile, run_profiled_per_cycle(c.fn, m).profile, label);
+    }
+  }
+}
+
 // Targeted attribution checks on hand-built programs with known timelines.
 
 // Figure 1's loop: six instructions per iteration ending in a taken branch.

@@ -1,13 +1,16 @@
 // Differential test of the simulator against the block-walking reference loop
 // it replaced (tests/common/reference_sim.hpp).  The simulator executes a
-// decoded program over a dense array memory; the reference walks the IR and
-// keeps every cell in the flat map.  Every observable must be identical:
-// each SimResult field (error string included), the final memory, the full
-// issue trace and every CycleProfile field — on the workload grid under both
+// decoded program over a dense array memory and fast-forwards repeating loop
+// iterations; the reference walks the IR, keeps every cell in the flat map
+// and times every instruction.  Every observable must be identical: each
+// SimResult field (error string included), the final memory, the full issue
+// trace and every CycleProfile field — on the workload grid under both
 // schedulers, the nest suite, a random-program corpus (scaled by
 // ILP_FUZZ_SEEDS), against the reference skipping stalls and stepping them
 // one cycle at a time, with a long store latency, initial register values,
-// and every error path.
+// every error path, and loops that leave their steady state mid-run.  Each
+// program runs three ways: tracing every issue (which keeps the simulator
+// from fast-forwarding), untraced, and profiled.
 #include <gtest/gtest.h>
 
 #include <bit>
@@ -33,6 +36,11 @@ using testing::fuzz_seed_count;
 using testing::random_program;
 using testing::StallStepping;
 
+// How the simulator under test runs: recording the whole issue trace, which
+// times every instruction precisely; untraced, so repeating iterations are
+// fast-forwarded; or profiled (untraced too).
+enum class Mode { Traced, Untraced, Profiled };
+
 struct Side {
   SimResult result;
   Memory memory;
@@ -52,20 +60,19 @@ Memory flat_copy(const Memory& seeded) {
 }
 
 // One run of each simulator on identically seeded memory, the reference
-// stepping stalls as `stepping` says.  Unprofiled runs record the whole issue
-// trace; profiled runs fill `profile`.
+// stepping stalls as `stepping` says; both record what `mode` says.
 std::pair<Side, Side> run_both(const Function& fn, const MachineModel& m,
-                               const SimOptions& base, bool profiled,
+                               const SimOptions& base, Mode mode,
                                StallStepping stepping = StallStepping::Skip) {
   Side got, want;
   seed_arrays(fn, got.memory);
   want.memory = flat_copy(got.memory);
   SimOptions got_opts = base;
   SimOptions want_opts = base;
-  if (profiled) {
+  if (mode == Mode::Profiled) {
     got_opts.profile = &got.profile;
     want_opts.profile = &want.profile;
-  } else {
+  } else if (mode == Mode::Traced) {
     got_opts.trace = &got.trace;
     want_opts.trace = &want.trace;
     got_opts.trace_limit = want_opts.trace_limit = std::size_t{1} << 22;
@@ -113,15 +120,22 @@ void expect_same(const Side& got, const Side& want, const std::string& label) {
   EXPECT_EQ(a.occupancy, b.occupancy) << label;
 }
 
-// Unprofiled (with trace) and profiled runs of `fn`, each against the
-// reference.
-void expect_matches_reference(const Function& fn, const MachineModel& m,
-                              const std::string& label, const SimOptions& base = {},
-                              StallStepping stepping = StallStepping::Skip) {
-  for (bool profiled : {false, true}) {
-    const auto [got, want] = run_both(fn, m, base, profiled, stepping);
-    expect_same(got, want, label + (profiled ? " profiled" : ""));
+// Traced, untraced and profiled runs of `fn`, each against the reference.
+// Returns the untraced run's result, whose ff_instructions shows how much
+// of it was fast-forwarded.
+SimResult expect_matches_reference(const Function& fn, const MachineModel& m,
+                                   const std::string& label, const SimOptions& base = {},
+                                   StallStepping stepping = StallStepping::Skip) {
+  SimResult untraced;
+  for (Mode mode : {Mode::Traced, Mode::Untraced, Mode::Profiled}) {
+    const auto [got, want] = run_both(fn, m, base, mode, stepping);
+    expect_same(got, want,
+                label + (mode == Mode::Traced     ? ""
+                         : mode == Mode::Untraced ? " untraced"
+                                                  : " profiled"));
+    if (mode == Mode::Untraced) untraced = got.result;
   }
+  return untraced;
 }
 
 std::string cell_label(const std::string& name, OptLevel level, int width,
@@ -137,6 +151,8 @@ class SimDiffGrid : public ::testing::TestWithParam<int> {};
 TEST_P(SimDiffGrid, WorkloadsBothSchedulers) {
   const int width = GetParam();
   const MachineModel m = MachineModel::issue(width);
+  std::uint64_t instructions = 0;
+  std::uint64_t ff_instructions = 0;
   for (const Workload& w : workload_suite()) {
     for (OptLevel level : kLevels) {
       for (SchedulerKind sched : {SchedulerKind::List, SchedulerKind::Modulo}) {
@@ -144,10 +160,16 @@ TEST_P(SimDiffGrid, WorkloadsBothSchedulers) {
         copts.scheduler = sched;
         auto compiled = try_compile_workload(w, level, m, copts);
         ASSERT_TRUE(compiled.has_value()) << compiled.error_message();
-        expect_matches_reference(compiled->fn, m, cell_label(w.name, level, width, sched));
+        const SimResult r =
+            expect_matches_reference(compiled->fn, m, cell_label(w.name, level, width, sched));
+        instructions += r.instructions;
+        ff_instructions += r.ff_instructions;
       }
     }
   }
+  // The untraced runs compared above are mostly fast-forwarded: the
+  // comparison covers the fast path, not just the precise loop.
+  EXPECT_GT(ff_instructions * 10, instructions * 9);
 }
 
 INSTANTIATE_TEST_SUITE_P(Widths, SimDiffGrid, ::testing::ValuesIn(kIssueWidths));
@@ -306,10 +328,62 @@ TEST(SimDiff, InitialRegisters) {
     opts.init_fps = {1.5, -2.0, 9.0, 9.0, 9.0, 9.0, 9.0, 9.0, 9.0, 9.0};
     const MachineModel m = MachineModel::issue(width);
     expect_matches_reference(fn, m, "init issue-" + std::to_string(width), opts);
-    const auto [got, want] = run_both(fn, m, opts, false);
+    const auto [got, want] = run_both(fn, m, opts, Mode::Traced);
     ASSERT_TRUE(got.result.ok) << got.result.error;
     EXPECT_EQ(got.result.regs.get_int(sum.id), 40);
     EXPECT_EQ(got.result.regs.get_fp(total.id), 1.5 * -2.0 + 40.0);
+  }
+}
+
+// ---- Leaving the steady state: the fallback to precise timing. ----------
+
+// Loops whose iterations are fast-forwarded until, mid-run, a branch flips,
+// a store->load alias appears or an op faults; narrow and wide machines,
+// with the store latency at 1 and 3, against the reference skipping stalls
+// and stepping them per cycle.
+TEST(SimDiff, SteadyStateBreaks) {
+  for (const testing::SteadyStateCase& c : testing::steady_state_breaks()) {
+    for (int lat_store : {1, 3}) {
+      for (int width : {1, 2, 4, 8}) {
+        MachineModel m = MachineModel::issue(width);
+        m.lat_store = lat_store;
+        for (StallStepping stepping : {StallStepping::Skip, StallStepping::PerCycle}) {
+          const std::string label = c.name + " lat_store=" + std::to_string(lat_store) +
+                                    " issue-" + std::to_string(width) +
+                                    (stepping == StallStepping::Skip ? "" : " noskip");
+          const SimResult r = expect_matches_reference(c.fn, m, label, {}, stepping);
+          // The break comes after iterations were fast-forwarded.  (With
+          // the longer store latency a store may still be in flight at the
+          // loop head, which keeps that loop precise.)
+          if (lat_store == 1) {
+            EXPECT_GT(r.ff_instructions, 0u) << label;
+          }
+        }
+      }
+    }
+  }
+}
+
+// Every budget across a few iterations in the middle of a fast-forwarded
+// loop: the budget runs out mid-period, at a period boundary, and just
+// after, each failing where the reference fails.
+TEST(SimDiff, BudgetRunsOutMidPeriod) {
+  for (const testing::SteadyStateCase& c : testing::steady_state_breaks()) {
+    for (int width : {1, 8}) {
+      const MachineModel m = MachineModel::issue(width);
+      const RunOutcome full = run_seeded(c.fn, m);
+      ASSERT_GT(full.result.ff_instructions, 0u) << c.name;
+      const std::uint64_t mid = full.result.instructions / 3;
+      for (std::uint64_t budget = mid; budget < mid + 24; ++budget) {
+        SimOptions opts;
+        opts.max_instructions = budget;
+        const std::string label =
+            c.name + " issue-" + std::to_string(width) + " budget=" + std::to_string(budget);
+        const SimResult r = expect_matches_reference(c.fn, m, label, opts);
+        EXPECT_FALSE(r.ok) << label;
+        EXPECT_GT(r.ff_instructions, 0u) << label;
+      }
+    }
   }
 }
 
@@ -335,7 +409,7 @@ TEST(SimDiff, DivisionByZero) {
     for (int width : {1, 8}) {
       const MachineModel m = MachineModel::issue(width);
       expect_matches_reference(fn, m, "div0 issue-" + std::to_string(width));
-      const auto [got, want] = run_both(fn, m, {}, false);
+      const auto [got, want] = run_both(fn, m, {}, Mode::Traced);
       EXPECT_FALSE(got.result.ok);
       EXPECT_EQ(got.result.error, "integer division by zero");
     }
@@ -354,7 +428,7 @@ TEST(SimDiff, FtoiOutOfRange) {
   for (int width : {1, 8}) {
     const MachineModel m = MachineModel::issue(width);
     expect_matches_reference(fn, m, "ftoi issue-" + std::to_string(width));
-    const auto [got, want] = run_both(fn, m, {}, false);
+    const auto [got, want] = run_both(fn, m, {}, Mode::Traced);
     EXPECT_FALSE(got.result.ok);
     EXPECT_EQ(got.result.error, "ftoi out of range");
   }
@@ -375,7 +449,7 @@ TEST(SimDiff, InstructionBudgetOneShort) {
       SimOptions short_budget;
       short_budget.max_instructions = full.result.instructions - 1;
       expect_matches_reference(compiled->fn, m, label + " budget-1", short_budget);
-      const auto [got, want] = run_both(compiled->fn, m, short_budget, false);
+      const auto [got, want] = run_both(compiled->fn, m, short_budget, Mode::Traced);
       EXPECT_FALSE(got.result.ok);
       EXPECT_EQ(got.result.error,
                 "instruction budget exceeded (" +
@@ -419,7 +493,7 @@ TEST(SimDiff, FallsOffEnd) {
     for (int width : {1, 2, 8}) {
       const MachineModel m = MachineModel::issue(width);
       expect_matches_reference(*fn, m, fn->name() + " issue-" + std::to_string(width));
-      const auto [got, want] = run_both(*fn, m, {}, false);
+      const auto [got, want] = run_both(*fn, m, {}, Mode::Traced);
       EXPECT_FALSE(got.result.ok);
       EXPECT_EQ(got.result.error, "fell off end of function");
     }
@@ -430,7 +504,7 @@ TEST(SimDiff, EmptyFunction) {
   const Function fn("empty");
   const MachineModel m = MachineModel::issue(4);
   expect_matches_reference(fn, m, "empty");
-  const auto [got, want] = run_both(fn, m, {}, true);
+  const auto [got, want] = run_both(fn, m, {}, Mode::Profiled);
   EXPECT_FALSE(got.result.ok);
   EXPECT_EQ(got.result.error, "empty function");
   EXPECT_EQ(got.result.cycles, 0u);

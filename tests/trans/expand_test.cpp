@@ -97,7 +97,9 @@ TEST(AccExpand, MixedAddSubAccumulator) {
     b.ret();
     fn.add_live_out(acc);
     fn.renumber();
-    if (expand) EXPECT_EQ(accumulator_expansion(fn), 1);
+    if (expand) {
+      EXPECT_EQ(accumulator_expansion(fn), 1);
+    }
     return fn;
   };
   for (std::int64_t n : {1, 4, 9}) {
@@ -361,7 +363,9 @@ TEST(SearchExpand, MinLoopAlsoExpands) {
     b.ret();
     fn.add_live_out(mn);
     fn.renumber();
-    if (expand) EXPECT_EQ(search_expansion(fn), 1);
+    if (expand) {
+      EXPECT_EQ(search_expansion(fn), 1);
+    }
     return fn;
   };
   const Function plain = make_minval(16, false);

@@ -12,8 +12,7 @@
 // schedule.
 //
 // Regenerate (only legitimate after an intentional codegen change):
-//   ILP_REGEN_PIPELINE_GOLDEN=1 ./build/tests/trans_test \
-//       --gtest_filter='PipelineGolden.*'
+//   ILP_REGEN_PIPELINE_GOLDEN=1 ./build/tests/trans_test --gtest_filter='PipelineGolden.*'
 #include <gtest/gtest.h>
 
 #include <cstdint>

@@ -40,13 +40,17 @@ TEST_P(WorkloadProps, PaperClaimsHoldPerLoop) {
 
   // "Loop unrolling and register renaming expose a large amount of ILP" for
   // DOALL loops (Section 3.2): every DOALL loop at least triples.
-  if (w.type == dsl::LoopType::DoAll) EXPECT_GE(m.lev2, 3.0) << w.name;
+  if (w.type == dsl::LoopType::DoAll) {
+    EXPECT_GE(m.lev2, 3.0) << w.name;
+  }
 
   // "Increasing execution resources yields little performance improvement
   // unless loop unrolling and register renaming are applied": Conv on the
   // wide machine leaves most of the width unused except for very large
   // bodies (NAS-5, doduc-1, tomcatv-1 have enough intra-iteration ILP).
-  if (w.size <= 11) EXPECT_LE(m.conv, 3.0) << w.name;
+  if (w.size <= 11) {
+    EXPECT_LE(m.conv, 3.0) << w.name;
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(Table2, WorkloadProps, ::testing::Range(0, 40),
