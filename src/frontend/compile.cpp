@@ -5,11 +5,25 @@
 #include "frontend/parser.hpp"
 #include "ir/builder.hpp"
 #include "ir/verifier.hpp"
+#include "support/assert.hpp"
 #include "support/strings.hpp"
 
 namespace ilp::dsl {
 
 namespace {
+
+// The conditional branch taken when `lhs cmp rhs` holds.
+Opcode branch_opcode(CmpOp cmp, bool fp) {
+  switch (cmp) {
+    case CmpOp::Lt: return fp ? Opcode::FBLT : Opcode::BLT;
+    case CmpOp::Le: return fp ? Opcode::FBLE : Opcode::BLE;
+    case CmpOp::Gt: return fp ? Opcode::FBGT : Opcode::BGT;
+    case CmpOp::Ge: return fp ? Opcode::FBGE : Opcode::BGE;
+    case CmpOp::Eq: return fp ? Opcode::FBEQ : Opcode::BEQ;
+    case CmpOp::Ne: return fp ? Opcode::FBNE : Opcode::BNE;
+  }
+  ILP_UNREACHABLE("bad comparison");
+}
 
 struct ArraySym {
   std::int32_t id = -1;
@@ -164,16 +178,8 @@ class Lowerer {
     Reg a = fp ? eval_fp(*s.cmp_lhs) : eval_int(*s.cmp_lhs);
     Reg c = fp ? eval_fp(*s.cmp_rhs) : eval_int(*s.cmp_rhs);
     if (diags_->has_errors()) return;
-    Opcode op;
-    switch (s.cmp) {
-      case CmpOp::Lt: op = fp ? Opcode::FBLT : Opcode::BLT; break;
-      case CmpOp::Le: op = fp ? Opcode::FBLE : Opcode::BLE; break;
-      case CmpOp::Gt: op = fp ? Opcode::FBGT : Opcode::BGT; break;
-      case CmpOp::Ge: op = fp ? Opcode::FBGE : Opcode::BGE; break;
-      case CmpOp::Eq: op = fp ? Opcode::FBEQ : Opcode::BEQ; break;
-      case CmpOp::Ne: op = fp ? Opcode::FBNE : Opcode::BNE; break;
-    }
-    b_.br(op, a, c, BlockId{0});  // patched when the loop exit exists
+    // The target is patched when the loop exit exists.
+    b_.br(branch_opcode(s.cmp, fp), a, c, BlockId{0});
     loop_stack_.back()->breaks.push_back(PendingBranch{
         b_.current_block(), result_.fn.block(b_.current_block()).insts.size() - 1});
   }

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <array>
-#include <atomic>
 #include <cinttypes>
 #include <cstdio>
 #include <exception>
@@ -121,6 +120,19 @@ Expected<Function> LevelPlan::backend(const MachineModel& m, TransformStats* sta
   return fn;
 }
 
+bool LevelPlan::same_leaves(const LevelPlan& o) const {
+  return opts_.schedule == o.opts_.schedule && opts_.scheduler == o.opts_.scheduler &&
+         opts_.modulo == o.opts_.modulo && same_code(fn_, o.fn_);
+}
+
+void LevelPlan::book_shared(const TransformStats& leaf) const {
+  TransformStats s = stats_;
+  s.modulo = leaf.modulo;
+  s.schedule_ns = leaf.schedule_ns;
+  s.ir_insts_after = leaf.ir_insts_after;
+  book_compile_counters(s, set_);
+}
+
 Expected<CompiledLoop> LevelPlan::leaf(const MachineModel& m, TransformStats* stats,
                                        Function fn) const {
   auto scheduled = backend(m, stats, std::move(fn));
@@ -225,31 +237,31 @@ constexpr engine::Codec<CellResult> kCellCodec{encode_cell, decode_cell};
 
 constexpr std::size_t kCellsPerLoop = kLevels.size() * kIssueWidths.size();
 
-// One loop's cells and the plan its jobs share.  The prefix job fills the
-// cache hits and builds the plan; each level job then computes that level's
-// missed cells, writing only its own slots.
+// Plan jobs run at most this many times `jobs` loops ahead of the leaf jobs.
+constexpr std::size_t kPlanLookahead = 2;
+
+// Levels of one loop that compile to the same leaves (LevelPlan::same_leaves),
+// ascending; the first is the representative whose leaves are computed, the
+// others are its twins.
+struct LeafGroup {
+  std::vector<std::size_t> levels;  // indices into kLevels
+  std::vector<LevelPlan> plans;     // one per level
+};
+
+// One loop's cells and the level plans its leaf jobs share.  The plan job
+// fills the cache hits and the groups; each leaf job then computes its
+// group's missed cells, writing only its own levels' slots.
 struct LoopCells {
   std::array<CellResult, kCellsPerLoop> cells{};
   std::array<std::uint64_t, kCellsPerLoop> keys{};
   std::array<bool, kCellsPerLoop> missed{};
-  std::unique_ptr<LoopPlan> plan;  // set when some cell missed and the frontend ran
-  // Level jobs that have not yet forked the plan; the last one frees it.
-  std::atomic<int> levels_left{0};
+  std::array<bool, kCellsPerLoop> shared{};  // filled from a twin's leaf
+  std::vector<LeafGroup> groups;
 
   [[nodiscard]] bool level_missed(std::size_t li) const {
     for (std::size_t wi = 0; wi < kIssueWidths.size(); ++wi)
       if (missed[li * kIssueWidths.size() + wi]) return true;
     return false;
-  }
-  // The levels that need a level job, once the prefix job has run; arms
-  // levels_left with their number.
-  [[nodiscard]] std::vector<std::size_t> level_jobs() {
-    std::vector<std::size_t> out;
-    if (!plan) return out;
-    for (std::size_t li = 0; li < kLevels.size(); ++li)
-      if (level_missed(li)) out.push_back(li);
-    levels_left.store(static_cast<int>(out.size()));
-    return out;
   }
 };
 
@@ -273,10 +285,11 @@ void fail_threw(LoopCells& lc, std::size_t first, std::size_t last,
   fail_missed(lc, first, last, strformat("study job threw: %s", e.what()), nullptr);
 }
 
-// Prefix job: looks up every cell of the loop, then runs the frontend and
-// Conv only if one of them missed.
-void run_prefix_job(const Workload& w, const CompileOptions& copts,
-                    engine::ResultCache* cache, LoopCells& lc) {
+// Plan job: looks up every cell of the loop; if one missed, runs the frontend
+// and Conv, then the level stage of every level with a missed cell, and
+// groups the levels by their leaves.
+void run_plan_job(const Workload& w, const CompileOptions& copts,
+                  engine::ResultCache* cache, LoopCells& lc) {
   engine::TraceScope trace(w.name, "plan");
   engine::ScopedTimer timer("study.job");
   lc.missed.fill(true);
@@ -295,21 +308,37 @@ void run_prefix_job(const Workload& w, const CompileOptions& copts,
     }
     if (std::find(lc.missed.begin(), lc.missed.end(), true) == lc.missed.end()) return;
     auto plan = LoopPlan::build(w, copts);
-    if (plan)
-      lc.plan = std::make_unique<LoopPlan>(std::move(*plan));
-    else
+    if (!plan) {
       fail_missed(lc, 0, kCellsPerLoop, plan.error_message(), cache);
+      return;
+    }
+    for (std::size_t li = 0; li < kLevels.size(); ++li) {
+      if (!lc.level_missed(li)) continue;
+      auto lv = plan->level(kLevels[li]);
+      if (!lv) {
+        const std::size_t first = li * kIssueWidths.size();
+        fail_missed(lc, first, first + kIssueWidths.size(), lv.error_message(), cache);
+        continue;
+      }
+      const auto twin =
+          std::find_if(lc.groups.begin(), lc.groups.end(),
+                       [&](const LeafGroup& g) { return g.plans.front().same_leaves(*lv); });
+      LeafGroup& g = twin != lc.groups.end() ? *twin : lc.groups.emplace_back();
+      g.levels.push_back(li);
+      g.plans.push_back(std::move(*lv));
+    }
   } catch (const std::exception& e) {
-    lc.plan.reset();
+    lc.groups.clear();
     fail_threw(lc, 0, kCellsPerLoop, e);
   }
 }
 
-// Schedules, measures and simulates one cell of a level.
+// Schedules, measures and simulates one cell of a level; `stats`, when
+// non-null, receives the compile's transformation counters.
 CellResult run_leaf(const Workload& w, const LevelPlan& lv, OptLevel level,
-                    const MachineModel& m) {
+                    const MachineModel& m, TransformStats* stats = nullptr) {
   CellResult c;
-  auto compiled = lv.compile(m);
+  auto compiled = lv.compile(m, stats);
   if (!compiled) {
     c.error = compiled.error_message();
     return c;
@@ -325,37 +354,51 @@ CellResult run_leaf(const Workload& w, const LevelPlan& lv, OptLevel level,
   return c;
 }
 
-// Level job: the level's transformations once, then one leaf per missed width.
-void run_level_job(const Workload& w, std::size_t li, engine::ResultCache* cache,
-                   LoopCells& lc) {
-  const OptLevel level = kLevels[li];
-  const std::size_t first = li * kIssueWidths.size();
-  engine::TraceScope trace(strformat("%s/%s", w.name.c_str(), level_name(level)), "plan");
+// Leaf job: one leaf per width that any level of the group missed, computed
+// on the representative and filled into every twin's missed cell.  A twin
+// whose shared cell failed computes that cell on its own plan instead, so
+// the error names its own level.
+void run_leaf_job(const Workload& w, std::size_t gi, engine::ResultCache* cache,
+                  LoopCells& lc) {
+  LeafGroup& g = lc.groups[gi];
+  const OptLevel rep = kLevels[g.levels.front()];
+  engine::TraceScope trace(strformat("%s/%s", w.name.c_str(), level_name(rep)), "plan");
   engine::ScopedTimer timer("study.job");
-  try {
-    const auto lv = lc.plan->level(level);
-    if (lc.levels_left.fetch_sub(1) == 1) lc.plan.reset();
-    if (!lv) {
-      fail_missed(lc, first, first + kIssueWidths.size(), lv.error_message(), cache);
-      return;
-    }
-    for (std::size_t wi = 0; wi < kIssueWidths.size(); ++wi) {
-      const std::size_t i = first + wi;
+  for (std::size_t wi = 0; wi < kIssueWidths.size(); ++wi) {
+    const auto cell_of = [&](std::size_t k) {
+      return g.levels[k] * kIssueWidths.size() + wi;
+    };
+    bool any_missed = false;
+    for (std::size_t k = 0; k < g.levels.size(); ++k) any_missed |= lc.missed[cell_of(k)];
+    if (!any_missed) continue;
+    const MachineModel m = MachineModel::issue(kIssueWidths[wi]);
+    engine::TraceScope cell(
+        strformat("%s/%s/w%d", w.name.c_str(), level_name(rep), m.issue_width), "cell");
+    TransformStats leaf;
+    std::optional<CellResult> result;
+    for (std::size_t k = 0; k < g.levels.size(); ++k) {
+      const std::size_t i = cell_of(k);
       if (!lc.missed[i]) continue;
-      const int width = kIssueWidths[wi];
-      engine::TraceScope cell(
-          strformat("%s/%s/w%d", w.name.c_str(), level_name(level), width), "cell");
       try {
-        lc.cells[i] = run_leaf(w, *lv, level, MachineModel::issue(width));
+        if (!result) result = run_leaf(w, g.plans.front(), rep, m, &leaf);
+        if (k == 0) {
+          lc.cells[i] = *result;
+        } else if (result->error.empty()) {
+          lc.cells[i] = *result;
+          lc.shared[i] = true;
+          g.plans[k].book_shared(leaf);
+          engine::MetricsRegistry::global().add_count("study.cells_shared");
+        } else {
+          lc.cells[i] = run_leaf(w, g.plans[k], kLevels[g.levels[k]], m);
+        }
         if (cache != nullptr)
           engine::memo_store(*cache, lc.keys[i], kCellCodec, lc.cells[i]);
       } catch (const std::exception& e) {
         fail_threw(lc, i, i + 1, e);
       }
     }
-  } catch (const std::exception& e) {
-    fail_threw(lc, first, first + kIssueWidths.size(), e);
   }
+  g.plans.clear();
 }
 
 }  // namespace
@@ -383,36 +426,37 @@ StudyResult run_study(const std::vector<Workload>& workloads, const StudyOptions
   if (jobs == 1) {
     for (std::size_t loop_i = 0; loop_i < workloads.size(); ++loop_i) {
       LoopCells& lc = loops[loop_i];
-      run_prefix_job(workloads[loop_i], opts.compile, cache, lc);
-      for (const std::size_t li : lc.level_jobs())
-        run_level_job(workloads[loop_i], li, cache, lc);
+      run_plan_job(workloads[loop_i], opts.compile, cache, lc);
+      for (std::size_t gi = 0; gi < lc.groups.size(); ++gi)
+        run_leaf_job(workloads[loop_i], gi, cache, lc);
     }
   } else {
-    // Prefix jobs run at most `jobs` loops ahead: once loop i's prefix is
-    // done, its level jobs are queued behind the prefixes already in flight,
-    // followed by the next loop's prefix.  So only a few plans are alive at
-    // a time.  Jobs write only their own loop's (or level's) slots, and
-    // results are read by cell index — never by completion order — so
+    // Plan jobs run at most kPlanLookahead * `jobs` loops ahead: once loop
+    // i's plan is done, its leaf jobs are queued behind the plans already in
+    // flight, followed by the next loop's plan.  So only a few plans are
+    // alive at a time.  Jobs write only their own loop's (or levels') slots,
+    // and results are read by cell index — never by completion order — so
     // parallel aggregation is byte-identical to serial.
     engine::ThreadPool pool(static_cast<unsigned>(jobs));
-    std::vector<std::future<void>> prefixes(workloads.size());
-    std::vector<std::future<void>> levels;
-    levels.reserve(workloads.size() * kLevels.size());
+    std::vector<std::future<void>> plans(workloads.size());
+    std::vector<std::future<void>> leaves;
+    leaves.reserve(workloads.size() * kLevels.size());
     std::size_t next = 0;
-    const auto submit_prefix = [&] {
-      prefixes[next] = pool.submit([&w = workloads[next], &lc = loops[next], &opts,
-                                    cache] { run_prefix_job(w, opts.compile, cache, lc); });
+    const auto submit_plan = [&] {
+      plans[next] = pool.submit([&w = workloads[next], &lc = loops[next], &opts,
+                                 cache] { run_plan_job(w, opts.compile, cache, lc); });
       ++next;
     };
-    while (next < workloads.size() && next < static_cast<std::size_t>(jobs)) submit_prefix();
+    const std::size_t ahead = kPlanLookahead * static_cast<std::size_t>(jobs);
+    while (next < workloads.size() && next < ahead) submit_plan();
     for (std::size_t loop_i = 0; loop_i < workloads.size(); ++loop_i) {
-      prefixes[loop_i].get();
-      for (const std::size_t li : loops[loop_i].level_jobs())
-        levels.push_back(pool.submit([&w = workloads[loop_i], li, &lc = loops[loop_i],
-                                      cache] { run_level_job(w, li, cache, lc); }));
-      if (next < workloads.size()) submit_prefix();
+      plans[loop_i].get();
+      for (std::size_t gi = 0; gi < loops[loop_i].groups.size(); ++gi)
+        leaves.push_back(pool.submit([&w = workloads[loop_i], gi, &lc = loops[loop_i],
+                                      cache] { run_leaf_job(w, gi, cache, lc); }));
+      if (next < workloads.size()) submit_plan();
     }
-    for (auto& f : levels) f.get();
+    for (auto& f : leaves) f.get();
     res.stats.peak_queue_depth = pool.peak_queue_depth();
   }
 
@@ -425,7 +469,9 @@ StudyResult run_study(const std::vector<Workload>& workloads, const StudyOptions
     ls.conds = w.conds;
     for (std::size_t li = 0; li < kLevels.size(); ++li) {
       for (std::size_t wi = 0; wi < kIssueWidths.size(); ++wi) {
-        const CellResult& c = loops[loop_i].cells[li * kIssueWidths.size() + wi];
+        const std::size_t i = li * kIssueWidths.size() + wi;
+        const CellResult& c = loops[loop_i].cells[i];
+        if (loops[loop_i].shared[i]) ++res.stats.shared_cells;
         if (!c.error.empty()) {
           ++res.stats.failed_cells;
           if (ls.error.empty()) ls.error = c.error;
@@ -543,12 +589,14 @@ std::string StudyResult::to_json() const {
 std::string StudyResult::telemetry_json() const {
   std::string out = "{\n";
   out += strformat(
-      "  \"cells\": %llu,\n  \"failed_cells\": %llu,\n  \"jobs\": %d,\n"
+      "  \"cells\": %llu,\n  \"failed_cells\": %llu,\n  \"shared_cells\": %llu,\n"
+      "  \"jobs\": %d,\n"
       "  \"peak_queue_depth\": %llu,\n  \"wall_seconds\": %.6f,\n"
       "  \"cache\": {\"hits\": %llu, \"disk_hits\": %llu, \"misses\": %llu, "
       "\"invalid\": %llu, \"hit_rate\": %.4f},\n",
       static_cast<unsigned long long>(stats.cells),
-      static_cast<unsigned long long>(stats.failed_cells), stats.jobs,
+      static_cast<unsigned long long>(stats.failed_cells),
+      static_cast<unsigned long long>(stats.shared_cells), stats.jobs,
       static_cast<unsigned long long>(stats.peak_queue_depth), stats.wall_seconds,
       static_cast<unsigned long long>(stats.cache_hits),
       static_cast<unsigned long long>(stats.cache_disk_hits),

@@ -18,9 +18,14 @@
 //
 //   source -> frontend + nest pre-passes + Conv          once per loop
 //     -> copy, level transformations + cleanup           once per (loop, level)
-//       -> copy, schedule + renumber, registers, simulate once per cell
+//       -> twin levels share leaves                      once per distinct level
+//         -> copy, schedule + renumber, registers, simulate once per (level, width)
 //
 // (LoopPlan / LevelPlan below; trans/level.hpp has the three stages.)  The
+// levels are cumulative, so when a level's added transformations find nothing
+// to do its code is a lower level's; such twins (LevelPlan::same_leaves) share
+// one leaf per width, and each twin's cell is filled from it as if compiled
+// (StudyStats::shared_cells).  The
 // level stage forks on a TransformSet: a paper level's set by default, or an
 // explicit ablation set (ilpd's `transforms` requests).  Every leaf is
 // identical to a fresh try_compile_workload of its cell, which is the same
@@ -32,17 +37,19 @@
 // axes: one LoopPlan per nest set, kept for the whole search, and per
 // candidate a level fork that takes the candidate's options (unroll,
 // scheduler), moved into a backend that stops before register measurement.
-// Const plans are forked concurrently by the study's level jobs and the
-// tuner's pool jobs; a fork only reads its parent.
+// Const plans are forked concurrently by the tuner's pool jobs; a fork only
+// reads its parent.
 //
 // The plans run through the experiment engine (src/engine/): a thread pool
-// (`StudyOptions::jobs`) executes one prefix job per loop, then one job per
-// (loop, level) that runs the level once and its four width leaves; prefix
-// jobs run at most `jobs` loops ahead of the level jobs, so only a few plans
-// are alive at once.  A content-addressed cache memoizes single cells across
-// runs and processes (`StudyOptions::cache_dir`); a prefix job looks up all of
-// its loop's cells first, so the frontend runs only for a loop with a missing
-// cell and a level only for a level with one.  The telemetry layer records
+// (`StudyOptions::jobs`) executes one plan job per loop, which runs the prefix
+// and every level stage and groups twin levels, then one leaf job per distinct
+// level that computes its missed widths' leaves and fills its twins' cells;
+// plan jobs run at most 2 x `jobs` loops ahead of the leaf jobs, so only a few
+// plans are alive at once.  A content-addressed cache memoizes single cells
+// across runs and processes (`StudyOptions::cache_dir`), a twin's cell under
+// its own key; a plan job looks up all of its loop's cells first, so the
+// frontend runs only for a loop with a missing cell and a level only for a
+// level with one.  The telemetry layer records
 // per-pass and per-job wall times.  Results are aggregated by cell index, so
 // parallel output — including the serialized JSON — is byte-identical to a
 // serial run.
@@ -115,6 +122,9 @@ struct StudyOptions {
 struct StudyStats {
   std::uint64_t cells = 0;         // total study cells executed or recalled
   std::uint64_t failed_cells = 0;  // cells that recorded an error
+  // Cells filled from a twin level's leaf (LevelPlan::same_leaves) instead
+  // of being scheduled, measured and simulated again.
+  std::uint64_t shared_cells = 0;
   std::uint64_t cache_hits = 0;    // memory-tier hits during this run
   std::uint64_t cache_disk_hits = 0;
   std::uint64_t cache_misses = 0;
@@ -211,6 +221,15 @@ class LevelPlan {
   // The backend alone: the level, moved, scheduled for `m` with no register
   // measurement (the tuner's leaf).
   [[nodiscard]] Expected<Function> schedule(const MachineModel& m) &&;
+
+  // True when `o` compiles to the same leaves: the same code (same_code,
+  // ir/function.hpp) and the same backend options.  Cumulative levels whose
+  // added transformations found nothing to do are such twins.
+  [[nodiscard]] bool same_leaves(const LevelPlan& o) const;
+  // Books a cell of this level filled from a twin's compiled leaf, whose
+  // compile returned `leaf`: this level's transformation counters with the
+  // leaf's backend fields, as compile() would have booked them.
+  void book_shared(const TransformStats& leaf) const;
 
  private:
   friend class LoopPlan;

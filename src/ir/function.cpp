@@ -1,6 +1,7 @@
 #include "ir/function.hpp"
 
 #include <algorithm>
+#include <bit>
 
 #include "support/assert.hpp"
 
@@ -88,6 +89,37 @@ std::size_t Function::num_insts() const {
   std::size_t n = 0;
   for (const auto& b : blocks_) n += b.insts.size();
   return n;
+}
+
+namespace {
+
+bool same_inst(const Instruction& a, const Instruction& b) {
+  return a.op == b.op && a.dst == b.dst && a.src1 == b.src1 && a.src2 == b.src2 &&
+         a.src2_is_imm == b.src2_is_imm && a.ival == b.ival &&
+         std::bit_cast<std::uint64_t>(a.fval) == std::bit_cast<std::uint64_t>(b.fval) &&
+         a.array_id == b.array_id && a.target == b.target;
+}
+
+bool same_array(const ArrayInfo& a, const ArrayInfo& b) {
+  return a.name == b.name && a.base == b.base && a.elem_size == b.elem_size &&
+         a.length == b.length && a.is_fp == b.is_fp;
+}
+
+}  // namespace
+
+bool same_code(const Function& a, const Function& b) {
+  if (a.name() != b.name() || a.num_regs(RegClass::Int) != b.num_regs(RegClass::Int) ||
+      a.num_regs(RegClass::Fp) != b.num_regs(RegClass::Fp) ||
+      a.live_out() != b.live_out() ||
+      !std::equal(a.arrays().begin(), a.arrays().end(), b.arrays().begin(),
+                  b.arrays().end(), same_array))
+    return false;
+  return std::equal(a.blocks().begin(), a.blocks().end(), b.blocks().begin(),
+                    b.blocks().end(), [](const Block& x, const Block& y) {
+                      return x.id == y.id && x.name == y.name &&
+                             std::equal(x.insts.begin(), x.insts.end(), y.insts.begin(),
+                                        y.insts.end(), same_inst);
+                    });
 }
 
 }  // namespace ilp

@@ -109,4 +109,12 @@ class Function {
   std::vector<Reg> live_out_;
 };
 
+// Structural equality: same name, blocks in the same layout with the same ids,
+// names and instructions, the same register counts, arrays and live-outs.
+// Instruction uids are ignored — they are analysis keys, rewritten by
+// renumber(), and no scheduling, register measurement or simulation reads
+// them — so two compiles that reach the same code by different pass histories
+// compare equal.  Immediates compare bit for bit.
+[[nodiscard]] bool same_code(const Function& a, const Function& b);
+
 }  // namespace ilp

@@ -39,9 +39,8 @@ void append_double(std::string& out, double v) {
 std::string sanitize_name(std::string_view name) {
   std::string out;
   out.reserve(name.size() + 1);
-  if (!name.empty() && name.front() >= '0' && name.front() <= '9') out += '_';
+  if (name.empty() || (name.front() >= '0' && name.front() <= '9')) out += '_';
   for (const char c : name) out += name_char_ok(c) ? c : '_';
-  if (out.empty()) out = "_";
   return out;
 }
 

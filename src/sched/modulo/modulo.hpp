@@ -40,6 +40,8 @@ struct ModuloOptions {
   int max_stages = 8;                // deepest overlap the codegen will emit
   int max_ii_over_min = 16;          // II search range above MinII before giving up
   int budget_ratio = 6;              // IMS placement budget = ratio * num ops
+
+  bool operator==(const ModuloOptions&) const = default;
 };
 
 // Aggregated per-function results, surfaced as sched.modulo.* counters and

@@ -119,26 +119,9 @@ void compile_level(Function& fn, const TransformSet& set, const CompileOptions& 
   timed_pass("pass.cleanup", fn, "after cleanup", [&] { run_cleanup(fn, ctx); });
 }
 
-void compile_backend(Function& fn, const TransformSet& set, const MachineModel& machine,
-                     const CompileOptions& opts, TransformStats& s,
-                     CompileContext& ctx) {
-  const Arena::Scope scope(ctx.arena());
-  s.modulo = ModuloStats{};
-  s.schedule_ns = 0;
-  // The modulo backend pipelines eligible loops into prologue/kernel/epilogue
-  // form; the list scheduler below then packs every block (including the new
-  // kernels), so both backends share one final scheduling pass.
-  if (opts.schedule && opts.scheduler == SchedulerKind::Modulo)
-    timed_pass("pass.modulo", fn, "after modulo pipelining",
-               [&] { s.modulo = modulo_pipeline_function(fn, machine, opts.modulo); });
-  if (opts.schedule)
-    s.schedule_ns = timed_pass("pass.schedule", fn, "after scheduling",
-                               [&] { schedule_function(fn, machine, ctx); });
-  fn.renumber();
-  s.ir_insts_after = fn.num_insts();
-
-  // Global transformation counters: a handful of locked adds per compile,
-  // nothing per-instruction, so the metrics-on overhead stays in the noise.
+void book_compile_counters(const TransformStats& s, const TransformSet& set) {
+  // A handful of locked adds per compiled cell, nothing per-instruction, so
+  // the metrics-on overhead stays in the noise.
   engine::MetricsRegistry& reg = engine::MetricsRegistry::global();
   if (s.loops_fused > 0)
     reg.add_count("trans.nest.loops_fused", static_cast<std::uint64_t>(s.loops_fused));
@@ -194,8 +177,30 @@ void compile_backend(Function& fn, const TransformSet& set, const MachineModel& 
   reg.add_count(engine::MetricsRegistry::intern_name(
                     std::string("trans.ir_insts_after.") + label),
                 s.ir_insts_after);
+}
+
+void compile_backend(Function& fn, const TransformSet& set, const MachineModel& machine,
+                     const CompileOptions& opts, TransformStats& s,
+                     CompileContext& ctx) {
+  const Arena::Scope scope(ctx.arena());
+  s.modulo = ModuloStats{};
+  s.schedule_ns = 0;
+  // The modulo backend pipelines eligible loops into prologue/kernel/epilogue
+  // form; the list scheduler below then packs every block (including the new
+  // kernels), so both backends share one final scheduling pass.
+  if (opts.schedule && opts.scheduler == SchedulerKind::Modulo)
+    timed_pass("pass.modulo", fn, "after modulo pipelining",
+               [&] { s.modulo = modulo_pipeline_function(fn, machine, opts.modulo); });
+  if (opts.schedule)
+    s.schedule_ns = timed_pass("pass.schedule", fn, "after scheduling",
+                               [&] { schedule_function(fn, machine, ctx); });
+  fn.renumber();
+  s.ir_insts_after = fn.num_insts();
+
+  book_compile_counters(s, set);
   // Context reuse telemetry: how many compiles landed on warm contexts and
   // the deepest any context's arena ever got.
+  engine::MetricsRegistry& reg = engine::MetricsRegistry::global();
   reg.add_count("ctx.compiles");
   if (ctx.compiles() > 1) reg.add_count("ctx.warm_compiles");
   reg.record_max("ctx.arena_high_water_bytes",

@@ -130,6 +130,13 @@ void compile_level(Function& fn, const TransformSet& set, const CompileOptions& 
 void compile_backend(Function& fn, const TransformSet& set, const MachineModel& machine,
                      const CompileOptions& opts, TransformStats& stats,
                      CompileContext& ctx);
+// The backend's books for one compiled cell: the trans.* and sched.modulo.*
+// counters of `stats`, with the IR-size counters labelled by `set`'s level.
+// compile_backend calls it once per compile; a caller that fills a cell from
+// an identical cell's backend instead of compiling (the study's twin levels)
+// calls it with its own level's stats and set, so the books read as if it had
+// compiled.  The work counters (pass.*, ctx.*) are the backend's alone.
+void book_compile_counters(const TransformStats& stats, const TransformSet& set);
 
 // Explicit-context form: all pass scratch and analysis storage comes from
 // `ctx`, which is reset (arena rewound, not freed) at the start of the

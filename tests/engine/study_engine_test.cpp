@@ -1,7 +1,8 @@
 // End-to-end tests of the engine-backed study: parallel runs must be
 // byte-identical to serial ones, warm caches must recall every cell with
 // identical results, a bad workload must fail its own cells only, and the
-// cell plans must run each shared stage exactly once.
+// cell plans must run each shared stage — and each twin level's leaves —
+// exactly once.
 #include <gtest/gtest.h>
 
 #include <unistd.h>
@@ -142,10 +143,14 @@ TEST(StudyEngine, CellPlansRunEachSharedStageOnce) {
   EXPECT_EQ(delta(before, after, "pass.unroll"), 4 * n);   // Lev1..Lev4
   EXPECT_EQ(delta(before, after, "pass.rename"), 3 * n);   // Lev2..Lev4
   EXPECT_EQ(delta(before, after, "pass.cleanup"), 5 * n);  // every level
-  EXPECT_EQ(delta(before, after, "pass.schedule"), 20 * n);
-  EXPECT_EQ(delta(before, after, "pass.regalloc"), 20 * n);
-  EXPECT_EQ(delta(before, after, "pass.simulate"), 20 * n);
-  EXPECT_EQ(delta(before, after, "study.job"), n + 5 * n);  // prefix + level jobs
+  // add's Lev4 finds nothing to expand, so it twins Lev3 and shares its four
+  // leaves; every other level is distinct.
+  EXPECT_EQ(delta(before, after, "pass.schedule"), 20 * n - 4);
+  EXPECT_EQ(delta(before, after, "pass.regalloc"), 20 * n - 4);
+  EXPECT_EQ(delta(before, after, "pass.simulate"), 20 * n - 4);
+  EXPECT_EQ(delta(before, after, "study.cells_shared"), 4u);
+  EXPECT_EQ(s.stats.shared_cells, 4u);
+  EXPECT_EQ(delta(before, after, "study.job"), n + 19);  // plan + leaf jobs
 
   // The per-level IR-size counters add up exactly as over one-shot compiles.
   for (const Workload& w : suite)
@@ -200,11 +205,119 @@ TEST(StudyEngine, PartiallyWarmCacheRunsOnlyTheMissingStages) {
     EXPECT_EQ(warm.stats.cache_hits, stored) << jobs;
     EXPECT_EQ(warm.stats.cache_misses, warm.stats.cells - stored) << jobs;
     // Loop 2 never reaches the frontend; loop 1 skips its Lev3 stage; every
-    // missed cell is scheduled once.
+    // missed cell is scheduled once, but for the four of loop 0's Lev4 that
+    // share its Lev3's leaves.
     EXPECT_EQ(delta(before, after, "pass.frontend"), suite.size() - 1) << jobs;
     EXPECT_EQ(delta(before, after, "pass.conventional"), suite.size() - 1) << jobs;
     EXPECT_EQ(delta(before, after, "pass.cleanup"), 5u + 4u + 5u) << jobs;
-    EXPECT_EQ(delta(before, after, "pass.schedule"), warm.stats.cells - stored) << jobs;
+    EXPECT_EQ(delta(before, after, "pass.schedule"), warm.stats.cells - stored - 4)
+        << jobs;
+    EXPECT_EQ(warm.stats.shared_cells, 4u) << jobs;
+  }
+}
+
+// Twin levels whose leaves are partly cached: in `add`, Lev4 twins Lev3.
+// Whichever cells are stored, the study reads as cold, recalls exactly the
+// stored cells, and shares only where a twin missed a width its
+// representative computed.
+TEST(StudyEngine, PartiallyWarmTwinLevelsMatchTheColdRun) {
+  const std::vector<Workload> suite = mini_suite();
+  const CompileOptions copts;
+  engine::ResultCache full;
+  StudyOptions cold_opts;
+  cold_opts.cache = &full;
+  const StudyResult cold = run_study(suite, cold_opts);
+
+  struct Case {
+    const char* name;
+    std::vector<std::pair<std::size_t, std::size_t>> stored;  // (level, width) of add
+    std::uint64_t shared;
+  };
+  const std::size_t lev3 = 3;
+  const std::size_t lev4 = 4;
+  const std::vector<Case> cases = {
+      {"representative cached", {{lev3, 0}, {lev3, 1}, {lev3, 2}, {lev3, 3}}, 0},
+      {"twin cached", {{lev4, 0}, {lev4, 1}, {lev4, 2}, {lev4, 3}}, 0},
+      {"widths split", {{lev3, 0}, {lev3, 1}, {lev4, 2}, {lev4, 3}}, 2},
+  };
+  for (const Case& c : cases)
+    for (const int jobs : {1, 4}) {
+      engine::ResultCache cache;
+      for (const auto& [li, wi] : c.stored) {
+        const std::uint64_t key = study_cell_key(
+            suite[0], kLevels[li], MachineModel::issue(kIssueWidths[wi]), copts);
+        const auto payload = full.lookup(key);
+        ASSERT_TRUE(payload.has_value());
+        cache.store(key, *payload);
+      }
+      StudyOptions opts;
+      opts.jobs = jobs;
+      opts.cache = &cache;
+      const auto before = registry_counts();
+      const StudyResult warm = run_study(suite, opts);
+      const auto after = registry_counts();
+      const std::uint64_t stored = c.stored.size();
+      EXPECT_EQ(warm.to_json(), cold.to_json()) << c.name << " " << jobs;
+      EXPECT_EQ(warm.stats.cache_hits, stored) << c.name << " " << jobs;
+      EXPECT_EQ(warm.stats.cache_misses, warm.stats.cells - stored) << c.name << " " << jobs;
+      EXPECT_EQ(warm.stats.shared_cells, c.shared) << c.name << " " << jobs;
+      EXPECT_EQ(delta(before, after, "study.cells_shared"), c.shared) << c.name << " " << jobs;
+      // add's Lev3/Lev4 leaves run once per width either way.
+      EXPECT_EQ(delta(before, after, "pass.simulate"), 3 * 20u + 3 * 4u + 4u)
+          << c.name << " " << jobs;
+    }
+}
+
+// A loop whose Lev3 and Lev4 compile to the same code, which divides by zero
+// at run time.  A twin never takes a failed leaf from its representative: it
+// computes the cell on its own plan, so each error names its own level, as a
+// one-shot compile and simulation of that cell does.
+TEST(StudyEngine, FailedTwinCellsNameTheirOwnLevel) {
+  Workload w = mini_suite()[0];
+  w.name = "divzero";
+  w.source = R"(
+program divzero
+array A[1024] int
+array C[1024] int
+scalar z int
+loop i = 0 to 1023 {
+  C[i] = A[i] / z;
+}
+)";
+  auto plan = LoopPlan::build(w);
+  ASSERT_TRUE(plan.has_value()) << plan.error_message();
+  const auto lev3 = plan->level(OptLevel::Lev3);
+  const auto lev4 = plan->level(OptLevel::Lev4);
+  ASSERT_TRUE(lev3 && lev4);
+  ASSERT_TRUE(lev3->same_leaves(*lev4));
+
+  const CompileOptions copts;
+  for (const int jobs : {1, 4}) {
+    engine::ResultCache cache;
+    StudyOptions opts;
+    opts.jobs = jobs;
+    opts.cache = &cache;
+    const StudyResult s = run_study({w}, opts);
+    EXPECT_EQ(s.stats.failed_cells, kLevels.size() * kIssueWidths.size()) << jobs;
+    EXPECT_EQ(s.stats.shared_cells, 0u) << jobs;
+    for (const OptLevel level : kLevels)
+      for (const int width : kIssueWidths) {
+        const MachineModel m = MachineModel::issue(width);
+        const auto compiled = try_compile_workload(w, level, m);
+        ASSERT_TRUE(compiled.has_value()) << compiled.error_message();
+        const auto cycles = try_simulate_cycles(compiled->fn, m);
+        ASSERT_FALSE(cycles.has_value());
+        const std::string expected =
+            "workload 'divzero' at " + std::string(level_name(level)) + " issue-" +
+            std::to_string(width) + ": " + cycles.error_message();
+        if (level == OptLevel::Conv && width == 1) {
+          EXPECT_EQ(s.loops[0].error, expected);
+        }
+        // The cell's cached payload ("v1 err <text>") carries its own error.
+        const auto payload = cache.lookup(study_cell_key(w, level, m, copts));
+        ASSERT_TRUE(payload.has_value());
+        EXPECT_EQ(*payload, "v1 err " + expected) << jobs;
+      }
   }
 }
 

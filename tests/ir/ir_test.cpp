@@ -122,6 +122,72 @@ TEST(Ir, PrinterRendersCoreForms) {
   EXPECT_NE(s.find("L1:"), std::string::npos);
 }
 
+// A two-block loop touching every field same_code compares.
+Function same_code_fixture(std::string name = "loop", std::int64_t array_base = 0) {
+  Function fn(std::move(name));
+  const std::int32_t a = fn.add_array({"A", array_base, 4, 64, true});
+  IRBuilder b(fn);
+  const BlockId entry = b.create_block("entry");
+  const BlockId body = b.create_block("body");
+  b.set_block(entry);
+  const Reg i = b.ldi(0);
+  const Reg acc = b.fldi(0.0);
+  b.set_block(body);
+  const Reg v = b.fld(i, 0, a);
+  const Reg w = b.fmuli(v, 2.5);
+  b.fadd_to(acc, acc, w);
+  b.fst(i, 4, w, a);
+  b.iaddi_to(i, i, 4);
+  b.bri(Opcode::BLT, i, 256, body);
+  b.ret();
+  fn.add_live_out(acc);
+  fn.renumber();
+  return fn;
+}
+
+TEST(Ir, SameCodeIgnoresUidsOnly) {
+  const Function base = same_code_fixture();
+  EXPECT_TRUE(same_code(base, base));
+
+  // Uids are analysis keys: a different numbering is the same code.
+  Function renumbered = base;
+  for (Block& blk : renumbered.blocks())
+    for (Instruction& in : blk.insts) in.uid = 1000 - in.uid;
+  EXPECT_TRUE(same_code(base, renumbered));
+  EXPECT_TRUE(same_code(renumbered, base));
+
+  const auto differs = [&](const char* what, auto&& edit) {
+    Function changed = base;
+    edit(changed);
+    EXPECT_FALSE(same_code(base, changed)) << what;
+    EXPECT_FALSE(same_code(changed, base)) << what;
+  };
+  const auto body = [](Function& f) -> std::vector<Instruction>& {
+    return f.block(1).insts;
+  };
+  differs("opcode", [&](Function& f) { body(f)[1].op = Opcode::FADD; });
+  differs("destination", [&](Function& f) { body(f)[1].dst = Reg{RegClass::Fp, 9}; });
+  differs("first operand", [&](Function& f) { body(f)[2].src1 = Reg{RegClass::Fp, 9}; });
+  differs("second operand", [&](Function& f) { body(f)[2].src2 = Reg{RegClass::Fp, 9}; });
+  differs("operand class", [&](Function& f) { body(f)[0].src1.cls = RegClass::Fp; });
+  differs("immediate flag", [&](Function& f) { body(f)[4].src2_is_imm = false; });
+  differs("int immediate", [&](Function& f) { body(f)[4].ival = 8; });
+  differs("memory offset", [&](Function& f) { body(f)[3].ival = 8; });
+  differs("fp immediate", [&](Function& f) { body(f)[1].fval = 3.5; });
+  differs("fp immediate sign", [&](Function& f) { f.block(0).insts[1].fval = -0.0; });
+  differs("array id", [&](Function& f) { body(f)[0].array_id = kMayAliasAll; });
+  differs("branch target", [&](Function& f) { body(f)[5].target = 0; });
+  differs("dropped instruction", [&](Function& f) { body(f).pop_back(); });
+  differs("block name", [&](Function& f) { f.block(1).name = "loop"; });
+  differs("extra block", [&](Function& f) { f.add_block("exit"); });
+  differs("live-out", [&](Function& f) { f.set_live_out({}); });
+  differs("int register count", [&](Function& f) { f.new_int_reg(); });
+  differs("fp register count", [&](Function& f) { f.new_fp_reg(); });
+  differs("array", [&](Function& f) { f.add_array({"B", 256, 4, 64, true}); });
+  EXPECT_FALSE(same_code(base, same_code_fixture("other")));
+  EXPECT_FALSE(same_code(base, same_code_fixture("loop", 16)));  // array base
+}
+
 TEST(Ir, ArrayLookup) {
   Function fn;
   fn.add_array({"A", 0, 4, 1, true});
