@@ -33,7 +33,10 @@ double mean_speedup_with(const TransformSet& set) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  ilp::bench::init(argc, argv);
+  if (argc > 1) {
+    std::fprintf(stderr, "unknown option %s\nusage: %s\n", argv[1], argv[0]);
+    return 1;
+  }
   using namespace ilp;
   bench::print_header("Ablation: per-transformation contribution at issue-8");
 
@@ -80,6 +83,5 @@ int main(int argc, char** argv) {
       "applied transformation; accumulator and search expansion give the "
       "largest speedups beyond unrolling/renaming; strength reduction is the "
       "least effective under these latencies.");
-  ilp::bench::finish();
   return 0;
 }

@@ -1,150 +1,20 @@
-// Shared header for the figure-regeneration binaries: engine-backed study
-// execution (thread pool + result cache + telemetry) and the
-// paper-comparison footer.
-//
-// Every bench accepts:
-//   --jobs N        run the study's 800 cells on N pool workers (0 = one per
-//                   hardware thread; default 1 = serial)
-//   --seq           force serial execution (same as --jobs 1; the reference
-//                   for determinism checks)
-//   --json [PATH]   write the deterministic study JSON (default
-//                   BENCH_study.json); byte-identical for any --jobs value
-//   --cache-dir D   persist per-cell results under D so unchanged cells are
-//                   near-free across bench binaries and re-runs
-//   --metrics PATH  write engine telemetry JSON (wall times, cache hits,
-//                   per-pass timings); non-deterministic by nature
-//   --trace PATH    write a Chrome trace (chrome://tracing / Perfetto) of
-//                   how the cells packed onto the workers
+// Shared header for the bench binaries: the report banner and the
+// paper-comparison footer, printed the way `ilpc --study` prints the paper's
+// own tables and figures (harness/report.hpp).
 #pragma once
 
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
-#include <fstream>
-#include <string>
 
-#include "engine/cache.hpp"
-#include "engine/metrics.hpp"
-#include "engine/trace.hpp"
-#include "harness/experiment.hpp"
 #include "harness/report.hpp"
-#include "machine/machine.hpp"
 
 namespace ilp::bench {
 
-struct Options {
-  int jobs = 1;
-  std::string json_path;     // empty = no JSON dump
-  std::string cache_dir;     // empty = no cache
-  std::string metrics_path;  // empty = no telemetry dump
-  std::string trace_path;    // empty = no Chrome trace
-};
-
-inline Options& options() {
-  static Options o;
-  return o;
-}
-
-inline void usage(const char* argv0) {
-  std::fprintf(stderr,
-               "usage: %s [--jobs N | --seq] [--json [PATH]] [--cache-dir DIR]\n"
-               "       %*s [--metrics PATH] [--trace PATH]\n",
-               argv0, static_cast<int>(std::strlen(argv0)), "");
-}
-
-// Parses the shared engine flags; exits on malformed input.  Call first in
-// every bench main.
-inline void init(int argc, char** argv) {
-  Options& o = options();
-  for (int i = 1; i < argc; ++i) {
-    const std::string a = argv[i];
-    auto next = [&]() -> const char* {
-      if (i + 1 >= argc) {
-        usage(argv[0]);
-        std::exit(1);
-      }
-      return argv[++i];
-    };
-    // PATH is optional for --json: default BENCH_study.json.
-    auto optional_next = [&](const char* fallback) -> std::string {
-      if (i + 1 < argc && argv[i + 1][0] != '-') return argv[++i];
-      return fallback;
-    };
-    if (a == "--jobs") {
-      o.jobs = std::atoi(next());
-      if (o.jobs < 0) {
-        usage(argv[0]);
-        std::exit(1);
-      }
-    } else if (a == "--seq") {
-      o.jobs = 1;
-    } else if (a == "--json") {
-      o.json_path = optional_next("BENCH_study.json");
-    } else if (a == "--cache-dir") {
-      o.cache_dir = next();
-    } else if (a == "--metrics") {
-      o.metrics_path = next();
-    } else if (a == "--trace") {
-      o.trace_path = next();
-    } else if (a == "--help" || a == "-h") {
-      usage(argv[0]);
-      std::exit(0);
-    } else {
-      std::fprintf(stderr, "unknown option %s\n", a.c_str());
-      usage(argv[0]);
-      std::exit(1);
-    }
-  }
-  if (!o.trace_path.empty()) engine::TraceRecorder::global().enable();
-}
-
-// The process-wide cell cache (honours --cache-dir), shared across every
-// run_study call a bench makes.
-inline engine::ResultCache& cache() {
-  static engine::ResultCache c(options().cache_dir);
-  return c;
-}
-
-// Runs the full study once through the engine with the parsed options.
-inline const StudyResult& study() {
-  static const StudyResult s = [] {
-    StudyOptions opts;
-    opts.jobs = options().jobs;
-    opts.cache = &cache();
-    return run_study(opts);
-  }();
-  return s;
-}
-
-// Writes --json/--metrics/--trace artifacts.  Call last in every bench main
-// (safe even if the bench never ran the study).
-inline void finish() {
-  const Options& o = options();
-  if (!o.json_path.empty()) {
-    std::ofstream out(o.json_path, std::ios::trunc);
-    if (out) out << study().to_json();
-    if (out)
-      std::fprintf(stderr, "[engine] study JSON -> %s\n", o.json_path.c_str());
-    else
-      std::fprintf(stderr, "[engine] cannot write %s\n", o.json_path.c_str());
-  }
-  if (!o.metrics_path.empty()) {
-    std::ofstream out(o.metrics_path, std::ios::trunc);
-    if (out) out << study().telemetry_json();
-  }
-  if (!o.trace_path.empty() &&
-      engine::TraceRecorder::global().write_chrome_trace(o.trace_path))
-    std::fprintf(stderr, "[engine] Chrome trace -> %s\n", o.trace_path.c_str());
-}
-
 inline void print_header(const char* what) {
-  std::printf("================================================================\n");
-  std::printf("%s\n", what);
-  std::printf("Machine: %s\n", MachineModel::issue(8).describe().c_str());
-  std::printf("Base configuration: issue-1, conventional optimizations (Conv)\n");
-  std::printf("================================================================\n");
+  std::fputs(render_section_header(what).c_str(), stdout);
 }
 
-inline void paper_note(const char* note) { std::printf("\n[paper] %s\n", note); }
+inline void paper_note(const char* note) {
+  std::fputs(render_paper_note(note).c_str(), stdout);
+}
 
 }  // namespace ilp::bench

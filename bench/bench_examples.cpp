@@ -42,7 +42,10 @@ void report(const char* figure, const char* what,
 }  // namespace
 
 int main(int argc, char** argv) {
-  ilp::bench::init(argc, argv);
+  if (argc > 1) {
+    std::fprintf(stderr, "unknown option %s\nusage: %s\n", argv[1], argv[0]);
+    return 1;
+  }
   using namespace ilp;
   bench::print_header(
       "Figures 1/3/5/6/7: worked examples, cycles per innermost iteration "
@@ -119,6 +122,5 @@ loop i = 0 to %lld {
       "factors (8x) and extra transformations can beat the figures' 3x "
       "illustrations.  Exact figure-for-figure issue-time checks live in "
       "tests/sim/figures_test.cpp and the transformation tests.");
-  ilp::bench::finish();
   return 0;
 }

@@ -14,8 +14,8 @@
 #include <vector>
 
 #include "bench_common.hpp"
+#include "common/nest_suite.hpp"
 #include "harness/experiment.hpp"
-#include "workloads/nest_suite.hpp"
 
 namespace {
 

@@ -6,8 +6,8 @@
 #include <cstdio>
 
 #include "bench_common.hpp"
+#include "common/assign.hpp"
 #include "frontend/compile.hpp"
-#include "regalloc/assign.hpp"
 
 namespace {
 
@@ -55,7 +55,10 @@ Row measure(int k) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  ilp::bench::init(argc, argv);
+  if (argc > 1) {
+    std::fprintf(stderr, "unknown option %s\nusage: %s\n", argv[1], argv[0]);
+    return 1;
+  }
   using namespace ilp;
   bench::print_header(
       "Register pressure: issue-8 Lev4 mean speedup vs. register file size");
@@ -77,6 +80,5 @@ int main(int argc, char** argv) {
       "so the 128-row should match 'unlimited'; the knee below it shows what "
       "the paper's 'production compiler can control register usage with "
       "Lev3/Lev4' remark is protecting against.");
-  ilp::bench::finish();
   return 0;
 }

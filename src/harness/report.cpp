@@ -2,6 +2,9 @@
 
 #include <sstream>
 
+#include "frontend/classify.hpp"
+#include "frontend/parser.hpp"
+#include "machine/machine.hpp"
 #include "support/strings.hpp"
 
 namespace ilp {
@@ -180,6 +183,185 @@ std::string render_table2() {
        << "\n";
   }
   return os.str();
+}
+
+std::string render_section_header(const std::string& what) {
+  const std::string rule =
+      "================================================================\n";
+  return rule + what + "\nMachine: " + MachineModel::issue(8).describe() +
+         "\nBase configuration: issue-1, conventional optimizations (Conv)\n" + rule;
+}
+
+std::string render_paper_note(const std::string& note) { return "\n[paper] " + note + "\n"; }
+
+namespace {
+
+// "  Conv=1.00  Lev1=..." over the five levels.
+template <typename F>
+std::string level_means(const char* fmt, F&& mean) {
+  std::string out;
+  for (OptLevel l : kLevels) out += strformat(fmt, level_name(l), mean(l));
+  return out;
+}
+
+int loops_under_128_registers(const StudyResult& s) {
+  int n = 0;
+  for (const auto& l : s.loops)
+    if (l.regs[4].total() < 128) ++n;
+  return n;
+}
+
+// Figures 8-10: one issue width's speedup distribution, means and per-loop table.
+std::string render_width_section(const StudyResult& s, int figure, int width_index,
+                                 const std::vector<Bucket>& buckets, const char* note) {
+  const int width = kIssueWidths[static_cast<std::size_t>(width_index)];
+  std::string out = render_section_header(
+      strformat("Figure %d: speedup distribution, issue-%d processor", figure, width));
+  out += render_histogram(speedup_histogram(s, width_index, buckets),
+                          strformat("loops per speedup range (issue-%d)", width));
+  out += "\nmean speedups:" + level_means("  %s=%.2f", [&](OptLevel l) {
+           return s.mean_speedup(l, width_index);
+         });
+  if (figure == 9) {
+    // The paper's two checkpoint counts.
+    int lev2_ge3 = 0, lev2_ge4 = 0, lev4_ge3 = 0, lev4_ge4 = 0;
+    for (const auto& l : s.loops) {
+      if (l.speedup(OptLevel::Lev2, width_index) >= 3.0) ++lev2_ge3;
+      if (l.speedup(OptLevel::Lev2, width_index) >= 4.0) ++lev2_ge4;
+      if (l.speedup(OptLevel::Lev4, width_index) >= 3.0) ++lev4_ge3;
+      if (l.speedup(OptLevel::Lev4, width_index) >= 4.0) ++lev4_ge4;
+    }
+    out += strformat("\nLev2: %d loops >=3x, %d loops >=4x   (paper: 29 and 18)\n",
+                     lev2_ge3, lev2_ge4);
+    out += strformat("Lev4: %d loops >=3x, %d loops >=4x   (paper: 36 and 23)\n",
+                     lev4_ge3, lev4_ge4);
+  } else {
+    out += "\n";
+  }
+  out += strformat("\nper-loop speedups (issue-%d):\n", width) +
+         render_speedup_table(s, width_index) + render_paper_note(note);
+  return out;
+}
+
+std::string render_registers_section(const StudyResult& s) {
+  std::string out =
+      render_section_header("Figure 11: register usage distribution, issue-8 processor");
+  out += render_histogram(register_histogram(s), "loops per register-usage range");
+  out += "\nmean registers:" +
+         level_means("  %s=%.0f", [&](OptLevel l) { return s.mean_registers(l); });
+  out += strformat("\nloops under 128 registers at Lev4: %d / %zu   (paper: 37 / 40)\n",
+                   loops_under_128_registers(s), s.loops.size());
+  out += strformat("register growth Conv -> Lev4: %.1fx   (paper: 2.6x)\n",
+                   s.mean_registers(OptLevel::Lev4) / s.mean_registers(OptLevel::Conv));
+  return out + render_paper_note(
+                   "Paper: averages 28 (Lev1) -> 57 (Lev2) -> 65 (Lev3) -> 71 (Lev4); the "
+                   "largest increase comes from register renaming, and Lev3/Lev4 are "
+                   "register-efficient ways to expose further ILP.");
+}
+
+std::string render_doall_section(const StudyResult& s) {
+  std::string out =
+      render_section_header("Figures 12-13: DOALL loops only, issue-8 processor");
+  out += render_histogram(speedup_histogram(s, 3, fig10_speedup_buckets(), LoopFilter::DoAllOnly),
+                          "Figure 12: DOALL speedup distribution");
+  out += "\nmean DOALL speedups:" + level_means("  %s=%.2f", [&](OptLevel l) {
+           return s.mean_speedup_where(l, 3, true);
+         }) + "\n\n";
+  out += render_histogram(register_histogram(s, LoopFilter::DoAllOnly),
+                          "Figure 13: DOALL register usage distribution");
+  return out + render_paper_note(
+                   "Paper: for DOALL loops unrolling+renaming expose most of the ILP "
+                   "(average 6.8 at Lev2), with Lev3/Lev4 adding modestly (7.8); register "
+                   "usage rises sharply with renaming.  'In general, though, "
+                   "transformations beyond loop unrolling and register renaming are not "
+                   "profitable for DOALL loops.'");
+}
+
+std::string render_non_doall_section(const StudyResult& s) {
+  std::string out =
+      render_section_header("Figures 14-15: non-DOALL loops only, issue-8 processor");
+  out += render_histogram(
+      speedup_histogram(s, 3, fig10_speedup_buckets(), LoopFilter::NonDoAllOnly),
+      "Figure 14: non-DOALL speedup distribution");
+  out += "\nmean non-DOALL speedups:" + level_means("  %s=%.2f", [&](OptLevel l) {
+           return s.mean_speedup_where(l, 3, false);
+         }) + "\n\n";
+
+  // Breakdown (ours): serial loops whose only recurrences are reductions are
+  // exactly what the Lev4 expansions fix; genuinely serial loops are not.
+  double fix2 = 0, fix4 = 0, gen2 = 0, gen4 = 0;
+  int nfix = 0, ngen = 0;
+  for (const auto& l : s.loops) {
+    if (l.type == dsl::LoopType::DoAll) continue;
+    DiagnosticEngine d;
+    const auto ast = dsl::parse(find_workload(l.name)->source, d);
+    const bool fixable = dsl::classify_innermost_loops(*ast)[0].reduction_only;
+    (fixable ? fix2 : gen2) += l.speedup(OptLevel::Lev2, 3);
+    (fixable ? fix4 : gen4) += l.speedup(OptLevel::Lev4, 3);
+    (fixable ? nfix : ngen) += 1;
+  }
+  out += strformat("reduction-only serial loops (%d): Lev2=%.2f -> Lev4=%.2f\n", nfix,
+                   fix2 / nfix, fix4 / nfix);
+  out += strformat("other non-DOALL loops       (%d): Lev2=%.2f -> Lev4=%.2f\n\n", ngen,
+                   gen2 / ngen, gen4 / ngen);
+
+  out += render_histogram(register_histogram(s, LoopFilter::NonDoAllOnly),
+                          "Figure 15: non-DOALL register usage distribution");
+  return out + render_paper_note(
+                   "Paper: non-DOALL loops average 3.7 at Lev2 and 5.8 with the expansion "
+                   "transformations (Lev4), which remove the loop's recurrences; Lev3 "
+                   "alone helps only a little.  Register usage stays below the DOALL "
+                   "loops' (less overlap among unrolled bodies).");
+}
+
+std::string render_summary_section(const StudyResult& s) {
+  std::string out =
+      render_section_header("Section 4 summary: paper vs. this reproduction");
+  const auto row = [&out](const char* what, double paper, double ours) {
+    out += strformat("  %-58s %8.2f %8.2f\n", what, paper, ours);
+  };
+  out += strformat("  %-58s %8s %8s\n", "metric", "paper", "ours");
+  row("issue-8 mean speedup, unroll+rename (Lev2)", 5.10, s.mean_speedup(OptLevel::Lev2, 3));
+  row("issue-8 mean speedup, all transformations (Lev4)", 6.68,
+      s.mean_speedup(OptLevel::Lev4, 3));
+  row("issue-4 mean speedup, Lev3", 3.73, s.mean_speedup(OptLevel::Lev3, 2));
+  row("issue-4 mean speedup, Lev4", 4.35, s.mean_speedup(OptLevel::Lev4, 2));
+  row("issue-8 DOALL mean, Lev2", 6.8, s.mean_speedup_where(OptLevel::Lev2, 3, true));
+  row("issue-8 DOALL mean, Lev4", 7.8, s.mean_speedup_where(OptLevel::Lev4, 3, true));
+  row("issue-8 non-DOALL mean, Lev2", 3.7, s.mean_speedup_where(OptLevel::Lev2, 3, false));
+  row("issue-8 non-DOALL mean, Lev4", 5.8, s.mean_speedup_where(OptLevel::Lev4, 3, false));
+  row("register growth factor, Conv -> Lev4", 2.6,
+      s.mean_registers(OptLevel::Lev4) / s.mean_registers(OptLevel::Conv));
+  row("loops under 128 registers at Lev4 (of 40)", 37, loops_under_128_registers(s));
+  return out + render_paper_note(
+                   "Absolute speedups depend on the reconstructed loop bodies; the claims "
+                   "to check are the orderings: Lev2 >> Conv, Lev4 >> Lev2 for non-DOALL, "
+                   "Lev4 ~ Lev2 for DOALL at low issue, and the ~2-3x register growth.");
+}
+
+}  // namespace
+
+std::string render_paper_report(const StudyResult& s) {
+  return render_section_header("Table 2: description of the 40 loop nests") +
+         render_table2() +
+         render_paper_note(
+             "Loop nests reconstructed to match the published Size/Iters/Nest/Type/"
+             "Conds attributes; see DESIGN.md for the substitution rationale.") +
+         render_width_section(
+             s, 8, 1, fig8_speedup_buckets(),
+             "For an issue-2 processor, loop unrolling and register renaming are "
+             "sufficient compiler transformations to fully utilize the processor "
+             "resources (Section 3.2): Lev3/Lev4 should add little over Lev2 here.") +
+         render_width_section(s, 9, 2, fig9_speedup_buckets(),
+                              "Paper averages for issue-4: Lev3 = 3.73, Lev4 = 4.35 "
+                              "(Section 3.2).") +
+         render_width_section(
+             s, 10, 3, fig10_speedup_buckets(),
+             "Paper averages for issue-8: Lev3 = 5.10, Lev4 = 6.68 (Section 3.2); "
+             "unrolling+renaming alone average 5.1 with the advanced transformations "
+             "adding the rest (Section 4).") +
+         render_registers_section(s) + render_doall_section(s) +
+         render_non_doall_section(s) + render_summary_section(s);
 }
 
 }  // namespace ilp

@@ -1,4 +1,4 @@
-// Histogram bucketing and text rendering for the paper's figures.
+// Histogram bucketing and text rendering for the paper's tables and figures.
 //
 // Each figure plots, per transformation level, how many of the 40 loops fall
 // into each speedup (or register-count) range; the ranges below are read off
@@ -46,5 +46,15 @@ std::string render_speedup_table(const StudyResult& study, int width_index);
 
 // Renders the Table 2 reconstruction.
 std::string render_table2();
+
+// The banner that opens each report section (title, machine, base
+// configuration), and the "[paper]" note that closes it.
+std::string render_section_header(const std::string& what);
+std::string render_paper_note(const std::string& note);
+
+// The paper's evidence read out of one study: Table 2, Figures 8-15 (with the
+// fixable vs. genuine serial breakdown under Figure 14) and the Section 4
+// summary, in that order.  `ilpc --study` prints it after its means table.
+std::string render_paper_report(const StudyResult& study);
 
 }  // namespace ilp

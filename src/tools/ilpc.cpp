@@ -24,7 +24,9 @@
 //   --list-workloads                  list the built-in Table 2 suite
 //
 // Study mode (runs Section 3.1's full 800-cell sweep through the engine):
-//   --study                           run the Table 2 study and print means
+//   --study                           run the Table 2 study and print means,
+//                                     then the paper's report (Table 2,
+//                                     Figures 8-15, Section 4 summary)
 //   --jobs N                          pool workers (0 = hardware threads)
 //   --seq                             serial execution (same as --jobs 1)
 //   --json PATH                       write deterministic study JSON
@@ -57,6 +59,7 @@
 #include "frontend/parser.hpp"
 #include "harness/experiment.hpp"
 #include "harness/explain.hpp"
+#include "harness/report.hpp"
 #include "ir/printer.hpp"
 #include "machine/machine.hpp"
 #include "regalloc/regalloc.hpp"
@@ -84,7 +87,8 @@ void usage() {
                "(<source.ilp> | --workload <name>)\n");
 }
 
-// Runs the full Table 2 study through the experiment engine.
+// Runs the full Table 2 study through the experiment engine and prints the
+// paper's report from it.
 int run_study_mode(ilp::SchedulerKind scheduler, int jobs, const std::string& json_path,
                    const std::string& cache_dir, const std::string& metrics_path,
                    const std::string& trace_path) {
@@ -108,6 +112,7 @@ int run_study_mode(ilp::SchedulerKind scheduler, int jobs, const std::string& js
       std::printf("  %7.2f", s.mean_speedup(l, static_cast<int>(wi)));
     std::printf("\n");
   }
+  std::fputs(render_paper_report(s).c_str(), stdout);
   int failed = 0;
   for (const auto& l : s.loops)
     if (!l.ok()) {

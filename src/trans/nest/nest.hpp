@@ -40,24 +40,13 @@ struct NestOptions {
 
 // Each pass returns the number of transformations applied (loop pairs
 // swapped, pairs fused, loops split, nests tiled) and leaves the function
-// verifier-clean.  Zero means the function is untouched.
+// verifier-clean.  Zero means the function is untouched.  compile_prefix
+// (trans/level.hpp) runs the enabled ones in the order fuse -> interchange ->
+// tile -> fission: fusion first enlarges bodies for the others, and fission
+// last because its split loops intentionally leave the canonical shape.
 int interchange_loops(Function& fn, const NestOptions& opts);
 int fuse_loops(Function& fn, const NestOptions& opts);
 int fission_loops(Function& fn, const NestOptions& opts);
 int tile_loops(Function& fn, const NestOptions& opts);
-
-struct NestStats {
-  int interchanged = 0;
-  int fused = 0;
-  int fissioned = 0;
-  int tiled = 0;
-
-  [[nodiscard]] int total() const { return interchanged + fused + fissioned + tiled; }
-};
-
-// Runs the enabled passes in the canonical order fuse -> interchange ->
-// tile -> fission (fusion first enlarges bodies for the others; fission last
-// because its split loops intentionally leave the canonical shape).
-NestStats run_nest_pipeline(Function& fn, const NestOptions& opts);
 
 }  // namespace ilp

@@ -1,4 +1,4 @@
-#include "analysis/reaching.hpp"
+#include "common/reaching.hpp"
 
 #include <gtest/gtest.h>
 

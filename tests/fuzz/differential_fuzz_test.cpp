@@ -11,12 +11,12 @@
 
 #include <string>
 
+#include "common/assign.hpp"
 #include "common/fixtures.hpp"
 #include "frontend/compile.hpp"
 #include "ir/printer.hpp"
 #include "sim/simulator.hpp"
 #include "support/strings.hpp"
-#include "regalloc/assign.hpp"
 #include "trans/level.hpp"
 
 namespace ilp {

@@ -125,6 +125,27 @@ TEST(Report, RenderersProduceAllSections) {
   const std::string t3 = render_histogram(h, "title");
   EXPECT_NE(t3.find("title"), std::string::npos);
   EXPECT_NE(t3.find("Lev4"), std::string::npos);
+
+  // The paper's report: every table and figure, each exactly once.
+  const std::string report = render_paper_report(s);
+  const auto count = [&report](const std::string& what) {
+    int n = 0;
+    for (std::size_t at = report.find(what); at != std::string::npos;
+         at = report.find(what, at + what.size()))
+      ++n;
+    return n;
+  };
+  for (const char* title :
+       {"Table 2: description of the 40 loop nests",
+        "Figure 8: speedup distribution, issue-2 processor",
+        "Figure 9: speedup distribution, issue-4 processor",
+        "Figure 10: speedup distribution, issue-8 processor",
+        "Figure 11: register usage distribution, issue-8 processor",
+        "Figure 12: DOALL speedup distribution", "Figure 13: DOALL register usage distribution",
+        "Figure 14: non-DOALL speedup distribution",
+        "Figure 15: non-DOALL register usage distribution",
+        "Section 4 summary: paper vs. this reproduction"})
+    EXPECT_EQ(count(title), 1) << title;
 }
 
 }  // namespace

@@ -16,6 +16,7 @@
 #include <vector>
 
 #include "common/fixtures.hpp"
+#include "common/nest_suite.hpp"
 #include "engine/pool.hpp"
 #include "frontend/compile.hpp"
 #include "harness/experiment.hpp"
@@ -23,7 +24,6 @@
 #include "sim/simulator.hpp"
 #include "support/strings.hpp"
 #include "tune/tune.hpp"
-#include "workloads/nest_suite.hpp"
 
 namespace ilp {
 namespace {

@@ -1,5 +1,5 @@
 // Tests for physical register assignment with spilling.
-#include "regalloc/assign.hpp"
+#include "common/assign.hpp"
 
 #include <gtest/gtest.h>
 

@@ -13,11 +13,11 @@
 #include "analysis/dominators.hpp"
 #include "analysis/loops.hpp"
 #include "common/fixtures.hpp"
+#include "common/modulo_oracle.hpp"
 #include "harness/experiment.hpp"
 #include "sched/modulo/ims.hpp"
 #include "sched/modulo/mdg.hpp"
 #include "sched/modulo/modulo.hpp"
-#include "sched/modulo/oracle.hpp"
 #include "workloads/suite.hpp"
 
 namespace ilp {

@@ -18,13 +18,13 @@
 #include <vector>
 
 #include "common/fixtures.hpp"
+#include "common/nest_suite.hpp"
 #include "common/reference_sim.hpp"
 #include "frontend/compile.hpp"
 #include "harness/experiment.hpp"
 #include "sim/profile.hpp"
 #include "sim/simulator.hpp"
 #include "trans/level.hpp"
-#include "workloads/nest_suite.hpp"
 #include "workloads/suite.hpp"
 
 namespace ilp {

@@ -19,6 +19,7 @@
 #include <vector>
 
 #include "common/fixtures.hpp"
+#include "common/nest_suite.hpp"
 #include "common/reference_sim.hpp"
 #include "frontend/compile.hpp"
 #include "harness/experiment.hpp"
@@ -26,7 +27,6 @@
 #include "sim/profile.hpp"
 #include "sim/simulator.hpp"
 #include "trans/level.hpp"
-#include "workloads/nest_suite.hpp"
 #include "workloads/suite.hpp"
 
 namespace ilp {

@@ -1,6 +1,8 @@
 // Differential oracle for the affine nest transformations (trans/nest/):
 // every workload-suite source and hundreds of random DSL programs are run
-// through each nest-pass combination, and the IR interpreter's bit-exact
+// through the compiler's prefix stage (compile_prefix: the enabled nest
+// passes in the pipeline's own order, then the conventional optimizations)
+// under each nest-pass combination, and the IR interpreter's bit-exact
 // observable-state digest (tests/common/interp.hpp) must match the
 // untransformed program's.  The interpreter is an independent implementation
 // of the simulator's functional semantics, so this also pins the two
@@ -8,21 +10,20 @@
 //
 // Legal nest transforms never reassociate floating point (interchange and
 // tiling refuse loop-carried scalars; fusion and fission preserve each
-// statement instance's computation), so the digest comparison has no
-// tolerance: any difference is a miscompile.
+// statement instance's computation), and neither do the conventional
+// optimizations, so the digest comparison has no tolerance: any difference
+// is a miscompile.
 #include <gtest/gtest.h>
 
 #include <string>
 
 #include "common/fixtures.hpp"
 #include "common/interp.hpp"
+#include "common/nest_suite.hpp"
 #include "frontend/compile.hpp"
 #include "ir/printer.hpp"
-#include "ir/verifier.hpp"
 #include "sim/simulator.hpp"
 #include "trans/level.hpp"
-#include "trans/nest/nest.hpp"
-#include "workloads/nest_suite.hpp"
 #include "workloads/suite.hpp"
 
 namespace ilp {
@@ -71,8 +72,8 @@ std::vector<Combo> combos() {
 }
 
 // Runs one source through every combo and checks the digest; accumulates
-// per-pass application counts into `total`.
-void check_all_combos(const std::string& src, const char* tag, NestStats* total) {
+// per-pass application counts into `total`'s loops_* fields.
+void check_all_combos(const std::string& src, const char* tag, TransformStats* total) {
   const Function base = compile_src(src);
   if (base.num_blocks() == 0) return;  // compile failure already reported
   bool base_ok = false;
@@ -80,17 +81,19 @@ void check_all_combos(const std::string& src, const char* tag, NestStats* total)
   const std::uint64_t want = run_digest(base, &base_ok, &base_err);
   ASSERT_TRUE(base_ok) << tag << ": baseline failed: " << base_err << "\n" << src;
 
+  CompileContext ctx;
   for (const Combo& c : combos()) {
     Function fn = base;
-    const NestStats stats = run_nest_pipeline(fn, c.opts);
-    verify_or_die(fn, "after nest pipeline (oracle)");
+    CompileOptions opts;
+    opts.nest = c.opts;
+    TransformStats stats;
+    compile_prefix(fn, opts, stats, ctx);
     if (total != nullptr) {
-      total->interchanged += stats.interchanged;
-      total->fused += stats.fused;
-      total->fissioned += stats.fissioned;
-      total->tiled += stats.tiled;
+      total->loops_interchanged += stats.loops_interchanged;
+      total->loops_fused += stats.loops_fused;
+      total->loops_fissioned += stats.loops_fissioned;
+      total->loops_tiled += stats.loops_tiled;
     }
-    if (stats.total() == 0) continue;  // nothing applied: trivially equal
     bool ok = false;
     std::string err;
     const std::uint64_t got = run_digest(fn, &ok, &err);
@@ -99,9 +102,9 @@ void check_all_combos(const std::string& src, const char* tag, NestStats* total)
                     << src << "\n"
                     << to_string(fn);
     ASSERT_EQ(got, want) << tag << " [" << c.name << "]: digest mismatch ("
-                         << stats.interchanged << " interchanged, " << stats.fused
-                         << " fused, " << stats.fissioned << " fissioned, "
-                         << stats.tiled << " tiled)\n"
+                         << stats.loops_interchanged << " interchanged, "
+                         << stats.loops_fused << " fused, " << stats.loops_fissioned
+                         << " fissioned, " << stats.loops_tiled << " tiled)\n"
                          << src << "\n"
                          << to_string(fn);
   }
@@ -117,20 +120,20 @@ TEST(NestSemantics, WorkloadSuitePreservedUnderAllCombos) {
 // The nest-restructuring workloads (BENCH_7's subjects) under the same
 // oracle, and the coverage pin that every pass finds work in that suite.
 TEST(NestSemantics, NestSuitePreservedAndEveryPassFires) {
-  NestStats total;
+  TransformStats total;
   for (const Workload& w : nest_suite())
     check_all_combos(w.source, w.name.c_str(), &total);
-  EXPECT_GT(total.interchanged, 0);
-  EXPECT_GT(total.fused, 0);
-  EXPECT_GT(total.fissioned, 0);
-  EXPECT_GT(total.tiled, 0);
+  EXPECT_GT(total.loops_interchanged, 0);
+  EXPECT_GT(total.loops_fused, 0);
+  EXPECT_GT(total.loops_fissioned, 0);
+  EXPECT_GT(total.loops_tiled, 0);
 }
 
 // --- The oracle over the general fuzz corpus --------------------------------
 
 TEST(NestSemantics, RandomProgramsPreservedUnderAllCombos) {
   const int n = fuzz_seed_count(200);
-  NestStats total;
+  TransformStats total;
   for (int seed = 1; seed <= n; ++seed) {
     const std::string src = random_program(static_cast<std::uint64_t>(seed));
     check_all_combos(src, "random_program", &total);
@@ -138,14 +141,14 @@ TEST(NestSemantics, RandomProgramsPreservedUnderAllCombos) {
   }
   // The general corpus contains adjacent conformable loops (every seed % 10
   // == 7 appends one), so at minimum fusion must find work here.
-  EXPECT_GT(total.fused, 0);
+  EXPECT_GT(total.loops_fused, 0);
 }
 
 // --- The oracle over the nest-shaped corpus, and pass coverage --------------
 
 TEST(NestSemantics, RandomNestProgramsPreservedAndEveryPassFires) {
   const int n = fuzz_seed_count(200);
-  NestStats total;
+  TransformStats total;
   for (int seed = 1; seed <= n; ++seed) {
     const std::string src = random_nest_program(static_cast<std::uint64_t>(seed));
     check_all_combos(src, "random_nest_program", &total);
@@ -155,10 +158,10 @@ TEST(NestSemantics, RandomNestProgramsPreservedAndEveryPassFires) {
   // interchange, conformable adjacent pairs for fusion, independent
   // statement groups for fission, legal nests with trip > tile_size for
   // tiling.  A pass that never fires is a silently dead pass.
-  EXPECT_GT(total.interchanged, 0);
-  EXPECT_GT(total.fused, 0);
-  EXPECT_GT(total.fissioned, 0);
-  EXPECT_GT(total.tiled, 0);
+  EXPECT_GT(total.loops_interchanged, 0);
+  EXPECT_GT(total.loops_fused, 0);
+  EXPECT_GT(total.loops_fissioned, 0);
+  EXPECT_GT(total.loops_tiled, 0);
 }
 
 // --- Interpreter vs simulator: two engines, one contract --------------------
