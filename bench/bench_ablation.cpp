@@ -11,21 +11,14 @@ namespace {
 
 using namespace ilp;
 
-double mean_speedup_with(const TransformSet& set) {
+double mean_speedup_with(const TransformSet& set, const std::vector<std::uint64_t>& base) {
   const MachineModel m8 = MachineModel::issue(8);
-  const MachineModel m1 = MachineModel::issue(1);
   double sum = 0.0;
-  for (const Workload& w : workload_suite()) {
-    DiagnosticEngine d1;
-    auto base = dsl::compile(w.source, d1);
-    compile_with_transforms(base->fn, TransformSet::for_level(OptLevel::Conv), m1);
-    const std::uint64_t base_cycles = simulate_cycles(base->fn, m1);
-
-    DiagnosticEngine d2;
-    auto opt = dsl::compile(w.source, d2);
+  for (std::size_t i = 0; i < workload_suite().size(); ++i) {
+    DiagnosticEngine diags;
+    auto opt = dsl::compile(workload_suite()[i].source, diags);
     compile_with_transforms(opt->fn, set, m8);
-    sum += static_cast<double>(base_cycles) /
-           static_cast<double>(simulate_cycles(opt->fn, m8));
+    sum += static_cast<double>(base[i]) / static_cast<double>(simulate_cycles(opt->fn, m8));
   }
   return sum / static_cast<double>(workload_suite().size());
 }
@@ -40,8 +33,9 @@ int main(int argc, char** argv) {
   using namespace ilp;
   bench::print_header("Ablation: per-transformation contribution at issue-8");
 
+  const std::vector<std::uint64_t> base = bench::conv_issue1_cycles();
   const TransformSet lev4 = TransformSet::for_level(OptLevel::Lev4);
-  const double full = mean_speedup_with(lev4);
+  const double full = mean_speedup_with(lev4, base);
   std::printf("full Lev4 pipeline mean speedup: %.2f\n\n", full);
 
   struct Knob {
@@ -63,18 +57,18 @@ int main(int argc, char** argv) {
   for (const Knob& k : knobs) {
     TransformSet s = lev4;
     s.*(k.member) = false;
-    const double m = mean_speedup_with(s);
+    const double m = mean_speedup_with(s, base);
     std::printf("%-26s %10.2f %10.2f\n", k.name, m, full - m);
   }
 
   std::printf("\n%-26s %10s %10s\n", "added alone over Lev2", "mean", "gain");
-  const double lev2 = mean_speedup_with(TransformSet::for_level(OptLevel::Lev2));
+  const double lev2 = mean_speedup_with(TransformSet::for_level(OptLevel::Lev2), base);
   std::printf("%-26s %10.2f %10s\n", "(Lev2 baseline)", lev2, "-");
   for (const Knob& k : knobs) {
     TransformSet s = TransformSet::for_level(OptLevel::Lev2);
     if (s.*(k.member)) continue;  // already in Lev2
     s.*(k.member) = true;
-    const double m = mean_speedup_with(s);
+    const double m = mean_speedup_with(s, base);
     std::printf("%-26s %10.2f %10.2f\n", k.name, m, m - lev2);
   }
 

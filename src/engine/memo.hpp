@@ -6,12 +6,22 @@
 // later lookup.  The study's cells, the tuner's measurements and every ilpd
 // family (cells, base cycles, whole searches) go through these three calls;
 // ilpd adds in-flight coalescing on top (server/service.hpp).
+//
+// SlotTable is the in-process counterpart: one slot per distinct key, found
+// by a hash and confirmed by an equality predicate, so a key with no compact
+// encoding (compiled code: ir/function.hpp's code_hash and same_code) is
+// still computed once.  The tuner's plan tree addresses its prefixes, levels,
+// leaves and simulations this way (tune/tune.hpp).
 #pragma once
 
 #include <cstdint>
+#include <memory>
+#include <mutex>
 #include <optional>
 #include <string>
+#include <unordered_map>
 #include <utility>
+#include <vector>
 
 #include "engine/cache.hpp"
 
@@ -57,5 +67,32 @@ T memoize(ResultCache& cache, std::uint64_t key, const Codec<T>& codec,
   memo_store(cache, key, codec, value);
   return value;
 }
+
+// Slots addressed by a hash and confirmed by an equality predicate.  A slot
+// is created once per distinct key and never moves, so callers keep
+// references to it and fill it under its own std::once_flag.  Safe to call
+// from concurrent jobs.
+template <typename Slot>
+class SlotTable {
+ public:
+  // The slot filed under `hash` that `same(slot)` accepts; when none does, a
+  // new one from `make()` (a std::unique_ptr<Slot>) is filed under `hash`.
+  // The bool is true for a new slot.  `same` runs under the table's lock, so
+  // it may read only what `make` set, which must not change afterwards.
+  template <typename Same, typename Make>
+  std::pair<Slot&, bool> find_or_insert(std::uint64_t hash, const Same& same,
+                                        const Make& make) {
+    const std::lock_guard<std::mutex> lock(mu_);
+    std::vector<std::unique_ptr<Slot>>& bucket = slots_[hash];
+    for (const std::unique_ptr<Slot>& s : bucket)
+      if (same(*s)) return {*s, false};
+    bucket.push_back(make());
+    return {*bucket.back(), true};
+  }
+
+ private:
+  std::mutex mu_;
+  std::unordered_map<std::uint64_t, std::vector<std::unique_ptr<Slot>>> slots_;
+};
 
 }  // namespace ilp::engine

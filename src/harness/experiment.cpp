@@ -77,6 +77,10 @@ Expected<LevelPlan> LoopPlan::level(OptLevel level, const CompileOptions& opts) 
   return fork(level, TransformSet::for_level(level), opts, fn_);
 }
 
+bool LoopPlan::same_prefix(const LoopPlan& o) const {
+  return !error_ && !o.error_ && same_code(fn_, o.fn_);
+}
+
 Expected<LevelPlan> LoopPlan::fork(OptLevel level, const TransformSet& set,
                                    const CompileOptions& opts, Function fn) const {
   if (error_) return stage_error(name_, level, error_->c_str());
@@ -104,15 +108,18 @@ Expected<CompiledLoop> LevelPlan::compile(const MachineModel& m, TransformStats*
   return leaf(m, stats, std::move(fn_));
 }
 
-Expected<Function> LevelPlan::schedule(const MachineModel& m) && {
-  return backend(m, nullptr, std::move(fn_));
+Expected<Function> LevelPlan::schedule(const MachineModel& m,
+                                       SchedulerKind scheduler) const {
+  CompileOptions opts = opts_;
+  opts.scheduler = scheduler;
+  return backend(m, opts, nullptr, fn_);
 }
 
-Expected<Function> LevelPlan::backend(const MachineModel& m, TransformStats* stats,
-                                      Function fn) const {
+Expected<Function> LevelPlan::backend(const MachineModel& m, const CompileOptions& opts,
+                                      TransformStats* stats, Function fn) const {
   TransformStats s = stats_;
   try {
-    compile_backend(fn, set_, m, opts_, s, CompileContext::local());
+    compile_backend(fn, set_, m, opts, s, CompileContext::local());
   } catch (const std::exception& e) {
     return stage_error(name_, level_, e.what());
   }
@@ -125,6 +132,14 @@ bool LevelPlan::same_leaves(const LevelPlan& o) const {
          opts_.modulo == o.opts_.modulo && same_code(fn_, o.fn_);
 }
 
+std::uint64_t LevelPlan::leaves_hash() const {
+  engine::HashStream h;
+  h.u64(code_hash(fn_)).boolean(opts_.schedule).i32(static_cast<int>(opts_.scheduler));
+  h.u64(opts_.modulo.max_body_insts).i32(opts_.modulo.max_stages);
+  h.i32(opts_.modulo.max_ii_over_min).i32(opts_.modulo.budget_ratio);
+  return h.digest();
+}
+
 void LevelPlan::book_shared(const TransformStats& leaf) const {
   TransformStats s = stats_;
   s.modulo = leaf.modulo;
@@ -135,7 +150,7 @@ void LevelPlan::book_shared(const TransformStats& leaf) const {
 
 Expected<CompiledLoop> LevelPlan::leaf(const MachineModel& m, TransformStats* stats,
                                        Function fn) const {
-  auto scheduled = backend(m, stats, std::move(fn));
+  auto scheduled = backend(m, opts_, stats, std::move(fn));
   if (!scheduled) return Error{scheduled.error_message()};
   CompiledLoop out;
   out.fn = std::move(*scheduled);

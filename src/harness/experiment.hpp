@@ -34,11 +34,12 @@
 // the tuner and the server.
 //
 // The autotuner (tune/tune.hpp) grows the same tree per search on its own
-// axes: one LoopPlan per nest set, kept for the whole search, and per
-// candidate a level fork that takes the candidate's options (unroll,
-// scheduler), moved into a backend that stops before register measurement.
-// Const plans are forked concurrently by the tuner's pool jobs; a fork only
-// reads its parent.
+// axes and addresses every stage by its code: one LoopPlan per nest set,
+// grouped with any earlier prefix of the same code (same_prefix); one level
+// fork per (prefix group, level, unroll), kept for the whole search; and one
+// backend per distinct (level code, scheduler), on a copy of the level, that
+// stops before register measurement.  Const plans are forked and scheduled
+// concurrently by the tuner's pool jobs; a fork only reads its parent.
 //
 // The plans run through the experiment engine (src/engine/): a thread pool
 // (`StudyOptions::jobs`) executes one plan job per loop, which runs the prefix
@@ -195,6 +196,13 @@ class LoopPlan {
   // prefix already ran it.
   [[nodiscard]] Expected<LevelPlan> level(OptLevel level, const CompileOptions& opts) const;
 
+  // True when `o`'s prefix is the same code (same_code, ir/function.hpp): a
+  // level forked from either with the same options is then the same code
+  // too, so a caller may fork either.  A prefix that threw matches none.
+  [[nodiscard]] bool same_prefix(const LoopPlan& o) const;
+  // code_hash of the prefix: equal for prefixes same_prefix accepts.
+  [[nodiscard]] std::uint64_t prefix_hash() const { return code_hash(fn_); }
+
  private:
   LoopPlan() = default;
   Expected<LevelPlan> fork(OptLevel level, const TransformSet& set,
@@ -218,14 +226,18 @@ class LevelPlan {
                                                TransformStats* stats = nullptr) const&;
   [[nodiscard]] Expected<CompiledLoop> compile(const MachineModel& m,
                                                TransformStats* stats = nullptr) &&;
-  // The backend alone: the level, moved, scheduled for `m` with no register
-  // measurement (the tuner's leaf).
-  [[nodiscard]] Expected<Function> schedule(const MachineModel& m) &&;
+  // The backend alone on a copy of the level, scheduled for `m` by
+  // `scheduler` in place of the fork's (the level stage never reads it), with
+  // no register measurement: the tuner's leaf.
+  [[nodiscard]] Expected<Function> schedule(const MachineModel& m,
+                                            SchedulerKind scheduler) const;
 
   // True when `o` compiles to the same leaves: the same code (same_code,
   // ir/function.hpp) and the same backend options.  Cumulative levels whose
   // added transformations found nothing to do are such twins.
   [[nodiscard]] bool same_leaves(const LevelPlan& o) const;
+  // Hash of what same_leaves compares: equal for plans it accepts.
+  [[nodiscard]] std::uint64_t leaves_hash() const;
   // Books a cell of this level filled from a twin's compiled leaf, whose
   // compile returned `leaf`: this level's transformation counters with the
   // leaf's backend fields, as compile() would have booked them.
@@ -236,8 +248,8 @@ class LevelPlan {
   LevelPlan() = default;
   Expected<CompiledLoop> leaf(const MachineModel& m, TransformStats* stats,
                               Function fn) const;
-  Expected<Function> backend(const MachineModel& m, TransformStats* stats,
-                             Function fn) const;
+  Expected<Function> backend(const MachineModel& m, const CompileOptions& opts,
+                             TransformStats* stats, Function fn) const;
 
   std::string name_;
   OptLevel level_ = OptLevel::Conv;

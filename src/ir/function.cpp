@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <bit>
+#include <functional>
+#include <string_view>
 
 #include "support/assert.hpp"
 
@@ -108,6 +110,7 @@ bool same_array(const ArrayInfo& a, const ArrayInfo& b) {
 }  // namespace
 
 bool same_code(const Function& a, const Function& b) {
+  if (&a == &b) return true;
   if (a.name() != b.name() || a.num_regs(RegClass::Int) != b.num_regs(RegClass::Int) ||
       a.num_regs(RegClass::Fp) != b.num_regs(RegClass::Fp) ||
       a.live_out() != b.live_out() ||
@@ -120,6 +123,62 @@ bool same_code(const Function& a, const Function& b) {
                              std::equal(x.insts.begin(), x.insts.end(), y.insts.begin(),
                                         y.insts.end(), same_inst);
                     });
+}
+
+namespace {
+
+// Word-at-a-time multiply-rotate mixing; collisions are confirmed by
+// same_code, so the mix only has to spread typical code well.
+class CodeHasher {
+ public:
+  void word(std::uint64_t v) {
+    h_ = std::rotl((h_ ^ v) * 0x9e3779b97f4a7c15ull, 27);
+  }
+  void str(std::string_view s) {
+    word(s.size());
+    word(std::hash<std::string_view>{}(s));
+  }
+  void reg(const Reg& r) { word(RegKey::key(r)); }
+  [[nodiscard]] std::uint64_t digest() const { return h_ ^ (h_ >> 31); }
+
+ private:
+  std::uint64_t h_ = 0xcbf29ce484222325ull;
+};
+
+}  // namespace
+
+std::uint64_t code_hash(const Function& fn) {
+  CodeHasher h;
+  h.str(fn.name());
+  h.word(fn.num_regs(RegClass::Int));
+  h.word(fn.num_regs(RegClass::Fp));
+  h.word(fn.live_out().size());
+  for (const Reg& r : fn.live_out()) h.reg(r);
+  h.word(fn.arrays().size());
+  for (const ArrayInfo& a : fn.arrays()) {
+    h.str(a.name);
+    h.word(static_cast<std::uint64_t>(a.base));
+    h.word(static_cast<std::uint64_t>(a.elem_size));
+    h.word(static_cast<std::uint64_t>(a.length));
+    h.word(a.is_fp ? 1u : 0u);
+  }
+  h.word(fn.blocks().size());
+  for (const Block& b : fn.blocks()) {
+    h.word(b.id);
+    h.str(b.name);
+    h.word(b.insts.size());
+    for (const Instruction& in : b.insts) {
+      h.word(static_cast<std::uint64_t>(in.op) << 1 | (in.src2_is_imm ? 1u : 0u));
+      h.reg(in.dst);
+      h.reg(in.src1);
+      h.reg(in.src2);
+      h.word(static_cast<std::uint64_t>(in.ival));
+      h.word(std::bit_cast<std::uint64_t>(in.fval));
+      h.word(static_cast<std::uint64_t>(static_cast<std::uint32_t>(in.array_id)) << 32 |
+             in.target);
+    }
+  }
+  return h.digest();
 }
 
 }  // namespace ilp

@@ -117,4 +117,10 @@ class Function {
 // compare equal.  Immediates compare bit for bit.
 [[nodiscard]] bool same_code(const Function& a, const Function& b);
 
+// Structural hash over exactly the fields same_code compares, so
+// same_code(a, b) implies code_hash(a) == code_hash(b).  Tables that address
+// compiled code by its hash confirm a match with same_code.  Stable within a
+// process only (it is not a cache key).
+[[nodiscard]] std::uint64_t code_hash(const Function& fn);
+
 }  // namespace ilp

@@ -41,8 +41,9 @@
 //   --sim-fraction F                  share of each frontier simulated (0,1]
 //   --max-sims N                      simulation budget, seeds included
 //   --no-cost-model                   simulate every candidate (exhaustive)
-//   (--issue/--jobs/--cache-dir/--json apply; the cache makes repeat and
-//   overlapping tuning runs nearly free)
+//   (--issue/--jobs/--cache-dir/--json/--metrics apply; the cache makes
+//   repeat and overlapping tuning runs nearly free, and --metrics writes the
+//   pass timers and the tune.*_shared counters)
 //
 // Exit codes: 0 ok, 1 usage, 2 compile error, 3 simulation error.
 #include <cstdio>
@@ -53,6 +54,7 @@
 #include <string>
 #include <thread>
 
+#include "engine/metrics.hpp"
 #include "engine/trace.hpp"
 #include "frontend/classify.hpp"
 #include "frontend/compile.hpp"
@@ -83,8 +85,8 @@ void usage() {
                "            [--cache-dir DIR] [--metrics PATH] [--trace PATH]\n"
                "       ilpc --autotune [--beam N] [--rounds N] [--sim-fraction F]\n"
                "            [--max-sims N] [--no-cost-model] [--issue N] [--jobs N]\n"
-               "            [--cache-dir DIR] [--json PATH] "
-               "(<source.ilp> | --workload <name>)\n");
+               "            [--cache-dir DIR] [--json PATH] [--metrics PATH]\n"
+               "            (<source.ilp> | --workload <name>)\n");
 }
 
 // Runs the full Table 2 study through the experiment engine and prints the
@@ -140,7 +142,7 @@ int run_study_mode(ilp::SchedulerKind scheduler, int jobs, const std::string& js
 // pool, memoized through the (optionally persistent) result cache.
 int run_autotune_mode(const std::string& source, const ilp::tune::TuneOptions& topts,
                       int jobs, const std::string& cache_dir,
-                      const std::string& json_path) {
+                      const std::string& json_path, const std::string& metrics_path) {
   using namespace ilp;
   engine::ThreadPool pool(jobs == 0 ? std::thread::hardware_concurrency()
                                     : static_cast<unsigned>(jobs));
@@ -163,7 +165,7 @@ int run_autotune_mode(const std::string& source, const ilp::tune::TuneOptions& t
               static_cast<unsigned long long>(r.cache_hits), 100.0 * r.model_mape);
   for (const tune::CandidateEval& e : r.evals)
     if (e.simulated && e.ok && e.cycles == r.best_cycles &&
-        e.config == r.best)
+        e.config() == r.best)
       std::printf("found   round %d\n", e.round);
   if (!json_path.empty()) {
     std::ofstream out(json_path, std::ios::trunc);
@@ -172,6 +174,11 @@ int run_autotune_mode(const std::string& source, const ilp::tune::TuneOptions& t
       return 3;
     }
     out << r.to_json();
+  }
+  if (!metrics_path.empty()) {
+    std::ofstream out(metrics_path, std::ios::trunc);
+    if (out)
+      out << "{\n  \"passes\": " << engine::MetricsRegistry::global().to_json(2) << "\n}\n";
   }
   return 0;
 }
@@ -381,7 +388,7 @@ int main(int argc, char** argv) {
 
   if (autotune_mode) {
     topts.issue = issue;
-    return run_autotune_mode(source, topts, jobs, cache_dir, json_path);
+    return run_autotune_mode(source, topts, jobs, cache_dir, json_path, metrics_path);
   }
 
   DiagnosticEngine diags;

@@ -51,8 +51,7 @@ bool intersects(const std::unordered_set<std::size_t>& a,
   return false;
 }
 
-bool fusable(const Function& fn, const CanonLoop& l1, const CanonLoop& l2,
-             const NestOptions& opts) {
+bool fusable(const Function& fn, const CanonLoop& l1, const CanonLoop& l2) {
   if (!l1.single_block() || !l2.single_block()) return false;
   if (l1.iv == l2.iv) return false;
   if (!l1.lo_known || !l1.hi_known || !l2.lo_known || !l2.hi_known) return false;
@@ -115,7 +114,6 @@ bool fusable(const Function& fn, const CanonLoop& l1, const CanonLoop& l2,
     }
   }
 
-  if (opts.unsafe_skip_legality) return true;
   return !fusion_preventing_dep(fn, l1, l2);
 }
 
@@ -141,7 +139,7 @@ void do_fuse(Function& fn, const CanonLoop& l1, const CanonLoop& l2) {
 
 }  // namespace
 
-int fuse_loops(Function& fn, const NestOptions& opts) {
+int fuse_loops(Function& fn, const NestOptions& /*opts*/) {
   int fused = 0;
   for (int round = 0; round < 8; ++round) {
     const std::vector<CanonLoop> loops = find_canonical_loops(fn);
@@ -149,7 +147,7 @@ int fuse_loops(Function& fn, const NestOptions& opts) {
     for (const CanonLoop& l1 : loops) {
       for (const CanonLoop& l2 : loops) {
         if (l1.exit != l2.pre) continue;
-        if (!fusable(fn, l1, l2, opts)) continue;
+        if (!fusable(fn, l1, l2)) continue;
         do_fuse(fn, l1, l2);
         fn.renumber();
         ++fused;

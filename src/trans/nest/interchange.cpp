@@ -68,13 +68,9 @@ void swap_control(Function& fn, const CanonLoop& outer, BlockId inner_head,
 
 namespace {
 
-bool should_interchange(const Function& fn, const CanonLoop& outer, const CanonLoop& inner,
-                        const NestOptions& opts) {
-  if (opts.unsafe_skip_legality) {
-    if (!interchange_structural(fn, outer, inner)) return false;
-  } else if (!interchange_legal(fn, outer, inner)) {
-    return false;
-  }
+bool should_interchange(const Function& fn, const CanonLoop& outer,
+                        const CanonLoop& inner) {
+  if (!interchange_legal(fn, outer, inner)) return false;
   // Profitability: swap only when the inner subscript stride dominates —
   // afterwards the small-stride axis runs innermost (spatial locality, and
   // unit-stride recurrences for the modulo scheduler).
@@ -84,7 +80,7 @@ bool should_interchange(const Function& fn, const CanonLoop& outer, const CanonL
 
 }  // namespace
 
-int interchange_loops(Function& fn, const NestOptions& opts) {
+int interchange_loops(Function& fn, const NestOptions& /*opts*/) {
   int swapped = 0;
   for (int round = 0; round < 8; ++round) {
     const std::vector<CanonLoop> loops = find_canonical_loops(fn);
@@ -92,7 +88,7 @@ int interchange_loops(Function& fn, const NestOptions& opts) {
     for (const CanonLoop& outer : loops) {
       for (const CanonLoop& inner : loops) {
         if (outer.header != inner.pre) continue;
-        if (!should_interchange(fn, outer, inner, opts)) continue;
+        if (!should_interchange(fn, outer, inner)) continue;
         nest_detail::swap_control(fn, outer, inner.header, inner.header);
         fn.renumber();
         ++swapped;

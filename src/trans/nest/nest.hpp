@@ -28,11 +28,6 @@ struct NestOptions {
   bool fission = false;
   bool tile = false;
   int tile_size = 16;
-  // Test-only: bypass the dependence/scalar legality layer while keeping the
-  // structural (mechanical-validity) checks.  Exists so the semantic oracle
-  // can prove it detects the miscompiles an unchecked transformation
-  // produces; never set on a production path.
-  bool unsafe_skip_legality = false;
 
   [[nodiscard]] bool any() const { return interchange || fuse || fission || tile; }
   bool operator==(const NestOptions&) const = default;

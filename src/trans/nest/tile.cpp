@@ -33,7 +33,6 @@ bool should_tile(const Function& fn, const CanonLoop& outer, const CanonLoop& in
   for (std::size_t k = 0; k + 1 < shared.insts.size(); ++k)
     for (const Reg& u : shared.insts[k].uses())
       if (u == inner.iv) return false;
-  if (opts.unsafe_skip_legality) return interchange_structural(fn, outer, inner);
   return interchange_legal(fn, outer, inner);
 }
 

@@ -18,17 +18,13 @@
 #include "harness/experiment.hpp"
 #include "obs/context.hpp"
 #include "sim/profile.hpp"
+#include "support/assert.hpp"
 #include "support/strings.hpp"
 #include "workloads/suite.hpp"
 
 namespace ilp::tune {
 
 namespace {
-
-// Knob grids for single-knob mutations.  Sorted, so neighbor generation
-// order — and therefore every downstream tie-break — is deterministic.
-constexpr std::array<int, 5> kUnrollGrid = {1, 2, 4, 8, 16};
-constexpr std::array<int, 4> kTileGrid = {4, 8, 16, 32};
 
 Workload adhoc_workload(const std::string& source) {
   Workload w;
@@ -52,6 +48,31 @@ std::uint64_t TuneConfig::order_key() const {
   k = (k << 1) | (nest.tile ? 1u : 0u);
   k = (k << 13) | (static_cast<std::uint64_t>(nest.tile_size) & 0x1fffu);
   return k;
+}
+
+TuneConfig TuneConfig::from_order_key(std::uint64_t key) {
+  ILP_ASSERT(key >> 28 == 0, "not a TuneConfig order key");
+  TuneConfig c;
+  c.nest.tile_size = static_cast<int>(key & 0x1fffu);
+  c.nest.tile = (key >> 13 & 1u) != 0;
+  c.nest.fission = (key >> 14 & 1u) != 0;
+  c.nest.fuse = (key >> 15 & 1u) != 0;
+  c.nest.interchange = (key >> 16 & 1u) != 0;
+  c.scheduler = (key >> 17 & 1u) != 0 ? SchedulerKind::Modulo : SchedulerKind::List;
+  c.unroll = static_cast<int>(key >> 18 & 0x7fu);
+  const std::uint64_t level = key >> 25;
+  ILP_ASSERT(level <= static_cast<std::uint64_t>(OptLevel::Lev4), "order key level out of range");
+  ILP_ASSERT(c.unroll >= 1, "order key unroll out of range");
+  ILP_ASSERT(c.nest.tile_size >= 1, "order key tile size out of range");
+  c.level = static_cast<OptLevel>(level);
+  return c;
+}
+
+CandidateEval::CandidateEval(const TuneConfig& c, int r)
+    : config_key(static_cast<std::uint32_t>(c.order_key())),
+      round(static_cast<std::uint16_t>(r)) {
+  ILP_ASSERT(r >= 0 && r <= UINT16_MAX, "round out of range");
+  ILP_ASSERT(config() == c, "config outside the order key's ranges");
 }
 
 std::string TuneConfig::name() const {
@@ -93,7 +114,7 @@ std::string TuneResult::signature() const {
       considered, simulated, pruned);
   for (const CandidateEval& e : evals)
     out += strformat("r%d %s sim=%d ok=%d cycles=%" PRIu64 "\n", e.round,
-                     e.config.name().c_str(), e.simulated ? 1 : 0, e.ok ? 1 : 0,
+                     e.config().name().c_str(), e.simulated ? 1 : 0, e.ok ? 1 : 0,
                      e.cycles);
   return out;
 }
@@ -118,62 +139,206 @@ std::string TuneResult::to_json() const {
 
 // SearchPlan ----------------------------------------------------------------
 
-// One prefix per nest set, built once by whichever job asks first; later
-// askers wait for it.  std::map keeps each entry's address stable.
-struct SearchPlan::Prefixes {
-  struct Entry {
+namespace {
+
+std::uint64_t mix(std::uint64_t a, std::uint64_t b) {
+  return engine::HashStream{}.u64(a).u64(b).digest();
+}
+
+// Adds one to an exact sharing counter when `ran` is false: the stage was
+// already computed for another config.
+void count_shared(bool ran, const char* name) {
+  if (!ran) engine::MetricsRegistry::global().add_count(name);
+}
+
+}  // namespace
+
+// The plan tree's stages, each a SlotTable of slots filled once under their
+// own once_flag by whichever job reaches them first.  A slot's key fields are
+// set when it is made and never change.
+struct SearchPlan::Tree {
+  // One per nest set: frontend, nest pre-passes and Conv.
+  struct Prefix {
+    NestOptions nest;
     std::once_flag once;
     std::optional<Expected<LoopPlan>> plan;
+    const Prefix* group = nullptr;  // the first prefix of the same code
   };
-  std::mutex mu;
-  std::map<std::uint64_t, Entry> by_nest;
+  struct Group {
+    const Prefix* rep;
+  };
+  // One per (prefix group, level, unroll): the level stage, forked from the
+  // group's first prefix with the default backend options, so same_leaves
+  // compares the forks' code.
+  struct Level {
+    const Prefix* group;
+    OptLevel level;
+    int unroll;
+    std::once_flag once;
+    std::optional<Expected<LevelPlan>> plan;
+    std::uint64_t hash = 0;  // plan->leaves_hash()
+  };
+  // One per leaf code: its simulation.
+  struct Sim {
+    Function code;
+    std::once_flag once;
+    Evaluator::Measurement result;
+  };
+  // One per (level code, scheduler): the backend and the leaf's features.
+  struct Leaf {
+    const LevelPlan* level;
+    SchedulerKind scheduler;
+    std::once_flag once;
+    Expected<IrFeatures> features = Error{};
+    Sim* sim = nullptr;  // null when the plan keeps no leaves
+  };
+
+  engine::SlotTable<Prefix> prefixes;
+  engine::SlotTable<Group> groups;
+  engine::SlotTable<Level> levels;
+  engine::SlotTable<Leaf> leaves;
+  engine::SlotTable<Sim> sims;
+  engine::SlotTable<Config> configs;
 };
 
-SearchPlan::SearchPlan(std::string source, int issue)
-    : source_(std::move(source)), issue_(issue), prefixes_(std::make_unique<Prefixes>()) {}
+// Where one config landed: its leaf, or the prefix or level error.
+struct SearchPlan::Config {
+  std::uint64_t key;
+  std::once_flag once;
+  std::string error;
+  Tree::Leaf* leaf = nullptr;
+
+  // The config's compile error, or null when it compiled.
+  [[nodiscard]] const std::string* failure() const {
+    if (leaf == nullptr) return &error;
+    return leaf->features ? nullptr : &leaf->features.error_message();
+  }
+};
+
+SearchPlan::SearchPlan(std::string source, int issue, bool keep_leaves)
+    : source_(std::move(source)),
+      issue_(issue),
+      keep_leaves_(keep_leaves),
+      tree_(std::make_unique<Tree>()) {}
 
 SearchPlan::~SearchPlan() = default;
 
-Expected<Function> SearchPlan::leaf(const TuneConfig& c) {
-  // The prefix's options: the nest set, with tile_size only when tiling is
-  // on (nothing else reads it); keyed by the order key of a config that
-  // fixes every other axis.
-  TuneConfig prefix = c;
-  if (!prefix.nest.tile) prefix.nest.tile_size = NestOptions{}.tile_size;
-  const CompileOptions opts = to_compile_options(prefix);
-  prefix.level = OptLevel::Conv;
-  prefix.unroll = 0;
-  prefix.scheduler = SchedulerKind::List;
+SearchPlan::Config& SearchPlan::place(const TuneConfig& c) {
+  Tree& t = *tree_;
+  const std::uint64_t key = c.order_key();
+  Config& x = t.configs
+                  .find_or_insert(
+                      key, [&](const Config& o) { return o.key == key; },
+                      [&] { return std::make_unique<Config>(key); })
+                  .first;
+  std::call_once(x.once, [&] {
+    // Prefix, grouped by code once built.
+    NestOptions nest = c.nest;
+    if (!nest.tile) nest.tile_size = NestOptions{}.tile_size;
+    TuneConfig nest_only;
+    nest_only.nest = nest;
+    Tree::Prefix& p = t.prefixes
+                          .find_or_insert(
+                              nest_only.order_key(),
+                              [&](const Tree::Prefix& o) { return o.nest == nest; },
+                              [&] { return std::make_unique<Tree::Prefix>(nest); })
+                          .first;
+    std::call_once(p.once, [&] {
+      CompileOptions opts;
+      opts.nest = nest;
+      p.plan.emplace(LoopPlan::build(adhoc_workload(source_), opts));
+      p.group = &p;
+      if (!*p.plan) return;
+      const LoopPlan& mine = **p.plan;
+      p.group = t.groups
+                    .find_or_insert(
+                        mine.prefix_hash(),
+                        [&](const Tree::Group& g) { return (**g.rep->plan).same_prefix(mine); },
+                        [&] { return std::make_unique<Tree::Group>(&p); })
+                    .first.rep;
+    });
+    const Tree::Prefix& group = *p.group;
+    const Expected<LoopPlan>& loop = *group.plan;
+    if (!loop) {
+      x.error = loop.error_message();
+      return;
+    }
 
-  Prefixes::Entry* entry = nullptr;
-  {
-    const std::lock_guard<std::mutex> lock(prefixes_->mu);
-    entry = &prefixes_->by_nest[prefix.order_key()];
-  }
-  std::call_once(entry->once, [&] {
-    entry->plan.emplace(LoopPlan::build(adhoc_workload(source_), opts));
+    // Level stage, per (prefix group, level, unroll).
+    Tree::Level& lv =
+        t.levels
+            .find_or_insert(
+                mix(mix(reinterpret_cast<std::uintptr_t>(&group),
+                        static_cast<std::uint64_t>(c.level)),
+                    static_cast<std::uint64_t>(c.unroll)),
+                [&](const Tree::Level& o) {
+                  return o.group == &group && o.level == c.level && o.unroll == c.unroll;
+                },
+                [&] { return std::make_unique<Tree::Level>(&group, c.level, c.unroll); })
+            .first;
+    bool ran = false;
+    std::call_once(lv.once, [&] {
+      CompileOptions opts = to_compile_options(c);
+      opts.nest = group.nest;
+      opts.scheduler = SchedulerKind::List;
+      lv.plan.emplace(loop->level(c.level, opts));
+      if (*lv.plan) lv.hash = (*lv.plan)->leaves_hash();
+      ran = true;
+    });
+    count_shared(ran, "tune.levels_shared");
+    if (!*lv.plan) {
+      x.error = lv.plan->error_message();
+      return;
+    }
+
+    // Backend, per (level code, scheduler); then the leaf's simulation slot.
+    const LevelPlan& level = **lv.plan;
+    Tree::Leaf& leaf =
+        t.leaves
+            .find_or_insert(
+                mix(lv.hash, static_cast<std::uint64_t>(c.scheduler)),
+                [&](const Tree::Leaf& o) {
+                  return o.scheduler == c.scheduler && o.level->same_leaves(level);
+                },
+                [&] { return std::make_unique<Tree::Leaf>(&level, c.scheduler); })
+            .first;
+    ran = false;
+    std::call_once(leaf.once, [&] {
+      ran = true;
+      const MachineModel m = MachineModel::issue(issue_);
+      auto fn = leaf.level->schedule(m, leaf.scheduler);
+      if (!fn) {
+        leaf.features = Error{fn.error_message()};
+        return;
+      }
+      leaf.features = extract_features(*fn, m);
+      if (!keep_leaves_) return;
+      leaf.sim = &t.sims
+                      .find_or_insert(
+                          code_hash(*fn),
+                          [&](const Tree::Sim& o) { return same_code(o.code, *fn); },
+                          [&] { return std::make_unique<Tree::Sim>(std::move(*fn)); })
+                      .first;
+    });
+    count_shared(ran, "tune.schedules_shared");
+    x.leaf = &leaf;
   });
-  const Expected<LoopPlan>& loop = *entry->plan;
-  if (!loop) return Error{loop.error_message()};
-  auto lv = loop->level(c.level, opts);
-  if (!lv) return Error{lv.error_message()};
-  return std::move(*lv).schedule(MachineModel::issue(issue_));
+  return x;
 }
 
-// LocalEvaluator ------------------------------------------------------------
+Evaluator::Analysis SearchPlan::analyze(const TuneConfig& c) {
+  const Config& x = place(c);
+  Evaluator::Analysis a;
+  if (const std::string* error = x.failure()) {
+    a.error = *error;
+    return a;
+  }
+  a.ok = true;
+  a.features = *x.leaf->features;
+  return a;
+}
 
 namespace {
-
-std::uint64_t tune_cell_key(const std::string& source, int issue,
-                            const TuneConfig& c) {
-  engine::HashStream h;
-  hash_domain_salt(h, "tune-cell");
-  // Same field set as the ilpd cell (shared salt builder) so a knob bump
-  // rolls this domain over with the rest.
-  h.u64(service_cell_key(source, c.level, std::nullopt, c.nest, c.scheduler,
-                         issue, c.unroll, 0));
-  return h.digest();
-}
 
 // Simulates a leaf profiled.  The conservation check is the tuner's
 // per-candidate oracle: a simulated result whose slot accounting does not
@@ -193,6 +358,48 @@ Evaluator::Measurement simulate_leaf(const Function& fn, const MachineModel& m) 
   out.cycles = sim->result.cycles;
   out.mem_wait = sim->profile.fraction(StallCause::MemWait);
   return out;
+}
+
+}  // namespace
+
+Evaluator::Measurement SearchPlan::simulate(const TuneConfig& c) {
+  ILP_ASSERT(keep_leaves_, "this plan keeps no leaves");
+  const Config& x = place(c);
+  if (const std::string* error = x.failure()) {
+    Evaluator::Measurement out;
+    out.error = *error;
+    return out;
+  }
+  Tree::Sim& s = *x.leaf->sim;
+  bool ran = false;
+  std::call_once(s.once, [&] {
+    s.result = simulate_leaf(s.code, MachineModel::issue(issue_));
+    ran = true;
+  });
+  count_shared(ran, "tune.sims_shared");
+  return s.result;
+}
+
+Expected<const Function*> SearchPlan::leaf(const TuneConfig& c) {
+  ILP_ASSERT(keep_leaves_, "this plan keeps no leaves");
+  const Config& x = place(c);
+  if (const std::string* error = x.failure()) return Error{*error};
+  return &x.leaf->sim->code;
+}
+
+// LocalEvaluator ------------------------------------------------------------
+
+namespace {
+
+std::uint64_t tune_cell_key(const std::string& source, int issue,
+                            const TuneConfig& c) {
+  engine::HashStream h;
+  hash_domain_salt(h, "tune-cell");
+  // Same field set as the ilpd cell (shared salt builder) so a knob bump
+  // rolls this domain over with the rest.
+  h.u64(service_cell_key(source, c.level, std::nullopt, c.nest, c.scheduler,
+                         issue, c.unroll, 0));
+  return h.digest();
 }
 
 // A failed measurement is recomputed, never stored.
@@ -256,10 +463,8 @@ LocalEvaluator::LocalEvaluator(engine::ThreadPool* pool, MeasureFn measure)
 LocalEvaluator::~LocalEvaluator() = default;
 
 SearchPlan& LocalEvaluator::plan_for(const std::string& source, int issue) {
-  if (!plan_ || plan_->issue() != issue || plan_->source() != source) {
-    leaves_.clear();
-    plan_ = std::make_unique<SearchPlan>(source, issue);
-  }
+  if (!plan_ || plan_->issue() != issue || plan_->source() != source)
+    plan_ = std::make_unique<SearchPlan>(source, issue, /*keep_leaves=*/!measure_);
   return *plan_;
 }
 
@@ -269,26 +474,8 @@ std::vector<Evaluator::Analysis> LocalEvaluator::analyze(
       engine::MetricsRegistry::global().histogram("tune.phase.search");
   const engine::Stopwatch wall;
   SearchPlan& plan = plan_for(source, issue);
-  const MachineModel m = MachineModel::issue(issue);
-  // Leaves are kept for the default measure only; each job fills its slot.
-  const bool keep = !measure_;
-  std::vector<std::optional<Function>> leaves(keep ? cfgs.size() : 0);
-  auto one = [&](std::size_t i) {
-    Analysis a;
-    auto leaf = plan.leaf(cfgs[i]);
-    if (!leaf) {
-      a.error = leaf.error_message();
-      return a;
-    }
-    a.ok = true;
-    a.features = extract_features(*leaf, m);
-    if (keep) leaves[i].emplace(std::move(*leaf));
-    return a;
-  };
-  auto out = run_batch<Analysis>(pool_, "analyze", cfgs, one);
-  leaves_.clear();
-  for (std::size_t i = 0; i < leaves.size(); ++i)
-    if (leaves[i]) leaves_.insert_or_assign(cfgs[i].order_key(), std::move(*leaves[i]));
+  auto out = run_batch<Analysis>(pool_, "analyze", cfgs,
+                                 [&](std::size_t i) { return plan.analyze(cfgs[i]); });
   search_hist.record(wall.nanos());
   return out;
 }
@@ -299,28 +486,14 @@ std::vector<Evaluator::Measurement> LocalEvaluator::measure(
       engine::MetricsRegistry::global().histogram("tune.phase.simulate");
   const engine::Stopwatch wall;
   SearchPlan& plan = plan_for(source, issue);
-  const MachineModel m = MachineModel::issue(issue);
-  // Jobs only read leaves_; a config analyze never saw is built here.
-  auto simulate = [&](const TuneConfig& c) {
-    if (const auto it = leaves_.find(c.order_key()); it != leaves_.end())
-      return simulate_leaf(it->second, m);
-    auto leaf = plan.leaf(c);
-    if (!leaf) {
-      Measurement out;
-      out.error = leaf.error_message();
-      return out;
-    }
-    return simulate_leaf(*leaf, m);
-  };
   auto one = [&](std::size_t i) {
     const TuneConfig& c = cfgs[i];
     if (measure_) return measure_(source, issue, c);
-    if (cache_ == nullptr) return simulate(c);
+    if (cache_ == nullptr) return plan.simulate(c);
     return engine::memoize(*cache_, tune_cell_key(source, issue, c), kMeasurementCodec,
-                           [&] { return simulate(c); });
+                           [&] { return plan.simulate(c); });
   };
   auto out = run_batch<Measurement>(pool_, "measure", cfgs, one);
-  leaves_.clear();  // the round is over: measured and pruned leaves go
   simulate_hist.record(wall.nanos());
   return out;
 }
@@ -406,9 +579,7 @@ TuneResult autotune(const std::string& source, const TuneOptions& opts,
     std::vector<Cand> viable;
     for (std::size_t i = 0; i < frontier.size(); ++i) {
       if (!analyses[i].ok) {
-        CandidateEval e;
-        e.config = frontier[i];
-        e.round = round;
+        CandidateEval e(frontier[i], round);
         e.ok = false;
         if (first_error.empty()) first_error = analyses[i].error;
         result.evals.push_back(e);
@@ -457,11 +628,8 @@ TuneResult autotune(const std::string& source, const TuneOptions& opts,
 
     for (std::size_t k = 0; k < sim_idx.size(); ++k) {
       const std::size_t i = sim_idx[k];
-      CandidateEval e;
-      e.config = frontier[i];
-      e.round = round;
+      CandidateEval e(frontier[i], round);
       e.simulated = true;
-      e.predicted = model.predict(analyses[i].features, frontier[i].level);
       const auto& meas = measurements[k];
       if (meas.ok) {
         e.cycles = meas.cycles;
@@ -478,11 +646,7 @@ TuneResult autotune(const std::string& source, const TuneOptions& opts,
       result.evals.push_back(e);
     }
     for (const std::size_t i : pruned_idx) {
-      CandidateEval e;
-      e.config = frontier[i];
-      e.round = round;
-      e.predicted = model.predict(analyses[i].features, frontier[i].level);
-      result.evals.push_back(e);
+      result.evals.emplace_back(frontier[i], round);
       ++result.pruned;
     }
     std::sort(ranked.begin(), ranked.end(),
@@ -500,7 +664,7 @@ TuneResult autotune(const std::string& source, const TuneOptions& opts,
   run_round(seeds, 0, /*simulate_all=*/true);
 
   for (const CandidateEval& e : result.evals)
-    if (e.simulated && e.ok && e.config == default_config())
+    if (e.simulated && e.ok && e.config() == default_config())
       result.lev4_cycles = e.cycles;
 
   if (ranked.empty()) {

@@ -28,27 +28,39 @@
 //
 // A search's candidates share one source and vary only the nest set, level,
 // unroll and scheduler, so LocalEvaluator compiles them through one plan
-// tree per search (SearchPlan, built on harness/experiment.hpp's cell plans):
+// tree per search (SearchPlan, built on harness/experiment.hpp's cell plans).
+// Knobs often do nothing on a given loop (a nest flag that finds no legal
+// nest, a level that adds nothing, a modulo request that does not pipeline),
+// so every stage is addressed by its code, not by the config that asked:
 //
-//   source -> frontend + nest pre-passes + Conv    once per nest set
-//     -> copy, level transformations + cleanup     once per config
-//       -> schedule at the search's issue width    (moved): the config's leaf
+//   source -> frontend + nest pre-passes + Conv    once per nest set,
+//                                                  grouped by prefix code
+//     -> copy, level transformations + cleanup     once per (prefix group,
+//                                                  level, unroll)
+//       -> copy, schedule at the search's width    once per (level code,
+//          + feature extraction                    scheduler): the leaf
+//         -> simulate                              once per leaf code
 //
-// analyze extracts features from the leaf (no register measurement: the
-// features never read registers) and keeps it; measure simulates that leaf,
-// so no candidate is compiled twice.  A batch's leaves live until the
-// round's measure call returns, pruned ones included; the prefixes live
-// until the evaluator sees another (source, issue).  Level forks are not
-// kept: no two configs of one batch share a (nest set, level, unroll), so
-// only later rounds could reuse one, and keeping a search's forks costs
-// more memory than their re-run costs time.
+// Codes are found by code_hash and confirmed by same_code (ir/function.hpp)
+// through engine::SlotTable; each slot is filled once by whichever job
+// reaches it first, so twins in one pool batch coalesce.  A group's levels
+// fork from its first prefix, whose code every member shares.  The memo
+// lives for one search: level forks and leaves are kept until the evaluator
+// sees another (source, issue), because a later round's configs reach them
+// too.  Every config still gets its own Analysis and Measurement; the
+// ResultCache is looked up under the config's own key first, and a shared
+// measurement is stored under each twin's key without being flagged a cache
+// hit, so a search's TuneResult is the same as if every config had been
+// compiled and simulated on its own.  The exact counters tune.levels_shared,
+// tune.schedules_shared and tune.sims_shared count the stages a config
+// reached already computed.
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <functional>
 #include <memory>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "engine/cache.hpp"
@@ -62,6 +74,11 @@
 
 namespace ilp::tune {
 
+// Knob grids for single-knob mutations.  Sorted, so neighbor generation
+// order — and therefore every downstream tie-break — is deterministic.
+inline constexpr std::array<int, 5> kUnrollGrid = {1, 2, 4, 8, 16};
+inline constexpr std::array<int, 4> kTileGrid = {4, 8, 16, 32};
+
 // One point of the search space.
 struct TuneConfig {
   OptLevel level = OptLevel::Lev4;
@@ -72,7 +89,10 @@ struct TuneConfig {
   bool operator==(const TuneConfig&) const = default;
 
   // Dense, total, deterministic order used for dedup and every tie-break.
+  // Uses the low 28 bits; unique for unroll < 128 and tile_size < 8192.
   [[nodiscard]] std::uint64_t order_key() const;
+  // The inverse of order_key; asserts that `key` encodes a valid config.
+  [[nodiscard]] static TuneConfig from_order_key(std::uint64_t key);
   // Compact human-readable name, e.g. "Lev4/u8/list" or
   // "Lev3/u4/modulo+interchange+tile16".
   [[nodiscard]] std::string name() const;
@@ -96,18 +116,23 @@ struct TuneOptions {
 };
 
 // Audit record of one candidate, in deterministic evaluation order.  A
-// search keeps one per candidate, so it stays small: the first failure's
-// message is TuneResult::error when every seed fails, and no other reader
-// needs a candidate's.
+// search keeps one per candidate and a caller may keep many searches, so it
+// stays small: the config is held as its order key, and the first failure's
+// message is TuneResult::error when every seed fails (no other reader needs
+// a candidate's).
 struct CandidateEval {
-  TuneConfig config;
-  int round = 0;
-  bool simulated = false;   // false: pruned by the cost model (or budget)
-  bool ok = true;           // compile/simulate succeeded
-  bool cache_hit = false;   // measurement served from the result cache
-  std::uint64_t cycles = 0; // simulated cycles when simulated && ok
-  double predicted = 0.0;   // cost-model estimate at ranking time
+  CandidateEval(const TuneConfig& c, int round);
+
+  [[nodiscard]] TuneConfig config() const { return TuneConfig::from_order_key(config_key); }
+
+  std::uint32_t config_key = 0;  // TuneConfig::order_key()
+  std::uint16_t round = 0;
+  bool simulated : 1 = false;  // false: pruned by the cost model (or budget)
+  bool ok : 1 = true;          // compile/simulate succeeded
+  bool cache_hit : 1 = false;  // measurement served from the result cache
+  std::uint64_t cycles = 0;    // simulated cycles when simulated && ok
 };
+static_assert(sizeof(CandidateEval) <= 16, "a search keeps one per candidate");
 
 struct TuneResult {
   bool ok = false;
@@ -173,12 +198,15 @@ class Evaluator {
                                            const std::vector<TuneConfig>& cfgs) = 0;
 };
 
-// One search's plan tree (see the top of this file).  A prefix is keyed by
-// the nest set (tile_size only when tiling is on: nothing else reads it) and
-// runs once however many jobs ask for it at the same time.
+// One search's plan tree (see the top of this file).  Safe to call from
+// concurrent jobs.  A prefix is keyed by the nest set (tile_size only when
+// tiling is on: nothing else reads it).
 class SearchPlan {
  public:
-  SearchPlan(std::string source, int issue);
+  // `keep_leaves` false drops each leaf once its features are extracted, for
+  // a caller that measures elsewhere (ilpd); simulate() and leaf() are then
+  // unavailable.
+  SearchPlan(std::string source, int issue, bool keep_leaves = true);
   ~SearchPlan();
   SearchPlan(const SearchPlan&) = delete;
   SearchPlan& operator=(const SearchPlan&) = delete;
@@ -186,16 +214,25 @@ class SearchPlan {
   [[nodiscard]] const std::string& source() const { return source_; }
   [[nodiscard]] int issue() const { return issue_; }
 
+  // The features of `c`'s leaf, or the compile error (try_compile_workload's
+  // text).
+  [[nodiscard]] Evaluator::Analysis analyze(const TuneConfig& c);
+  // `c`'s leaf simulated, profiled, with the conservation check enforced.
+  [[nodiscard]] Evaluator::Measurement simulate(const TuneConfig& c);
   // `c` compiled and scheduled for the search's issue width, registers not
-  // measured; identical to a one-shot compile of the config.  Errors carry
-  // try_compile_workload's text.  Safe to call from concurrent jobs.
-  [[nodiscard]] Expected<Function> leaf(const TuneConfig& c);
+  // measured; identical to a one-shot compile of the config.  Configs that
+  // compile to the same code share one leaf, which lives as long as the plan.
+  [[nodiscard]] Expected<const Function*> leaf(const TuneConfig& c);
 
  private:
-  struct Prefixes;
+  struct Tree;
+  struct Config;
+  Config& place(const TuneConfig& c);
+
   std::string source_;
   int issue_;
-  std::unique_ptr<Prefixes> prefixes_;
+  bool keep_leaves_;
+  std::unique_ptr<Tree> tree_;
 };
 
 // The evaluator: ilpc, the benches, the tests and ilpd all run this one.
@@ -207,13 +244,14 @@ class SearchPlan {
 //
 // analyze compiles every candidate through the SearchPlan of (source,
 // issue), kept until either changes.  A measurement is one call of the
-// measure function per candidate.  The default simulates the leaf analyze
-// built (a config analyze never saw is built through the same tree),
-// profiled, with the conservation check enforced, memoized in `cache`
-// (null: none) under a "tune-cell" domain key derived from the same shared
-// salt builder as the service cells.  ilpd passes its own, which runs the
-// candidate as a compile cell through its shard cache, so a tuned cell and a
-// compiled cell are one cache entry; analyze then keeps no leaves.
+// measure function per candidate.  The default looks the candidate up in
+// `cache` (null: none) under a "tune-cell" domain key derived from the same
+// shared salt builder as the service cells, and on a miss takes the plan's
+// simulation of its leaf (a config analyze never saw is built through the
+// same tree), stored under the candidate's key.  ilpd passes its own, which
+// runs the candidate as a compile cell through its shard cache, so a tuned
+// cell and a compiled cell are one cache entry; the plan then keeps no
+// leaves, and only the analysis is shared between twins.
 //
 // One search at a time: analyze and measure must not be called concurrently
 // on one evaluator.
@@ -239,8 +277,6 @@ class LocalEvaluator : public Evaluator {
   engine::ResultCache* cache_ = nullptr;
   MeasureFn measure_;  // empty: simulate the leaf (memoized in cache_)
   std::unique_ptr<SearchPlan> plan_;
-  // The last analyze batch's leaves by config order key, for measure.
-  std::unordered_map<std::uint64_t, Function> leaves_;
 };
 
 TuneResult autotune(const std::string& source, const TuneOptions& opts,

@@ -14,6 +14,7 @@
 #include "common/interp.hpp"
 #include "frontend/compile.hpp"
 #include "support/strings.hpp"
+#include "trans/nest/internal.hpp"
 #include "trans/nest/nest.hpp"
 
 namespace ilp {
@@ -226,17 +227,20 @@ TEST(DepDist, FissionNeverSplitsADependenceCycle) {
 
 TEST(DepDist, SkippingLegalityOnIllegalNestChangesSemantics) {
   // The (<,>) nest from above, with the transposed store making the swap
-  // profitable.  With the legality layer bypassed the pass applies the
-  // interchange — and the observable state digest must change, proving the
-  // differential oracle detects exactly the bug the legality layer prevents.
+  // profitable.  The swap the legality layer refuses, built from the
+  // structural mechanics alone, must change the observable state digest,
+  // proving the differential oracle detects exactly the bug the legality
+  // layer prevents.
   Function fn = compile_dsl(nest_src("M[j][i] = M[j-1][i+1] + N[j][i];"));
   const std::uint64_t before = ilp::testing::run_digest(fn);
 
   Function broken = fn;
-  NestOptions unsafe;
-  unsafe.interchange = true;
-  unsafe.unsafe_skip_legality = true;
-  ASSERT_GT(interchange_loops(broken, unsafe), 0);
+  const Nest n = find_nest(broken);
+  ASSERT_TRUE(n.found);
+  ASSERT_TRUE(interchange_structural(broken, n.outer, n.inner));
+  ASSERT_FALSE(interchange_legal(broken, n.outer, n.inner));
+  nest_detail::swap_control(broken, n.outer, n.inner.header, n.inner.header);
+  broken.renumber();
   bool ok = false;
   const std::uint64_t after = ilp::testing::run_digest(broken, &ok);
   ASSERT_TRUE(ok);

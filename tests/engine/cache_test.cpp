@@ -7,9 +7,13 @@
 #include <atomic>
 #include <cstdio>
 #include <filesystem>
+#include <memory>
+#include <mutex>
 #include <string>
 #include <thread>
 #include <vector>
+
+#include "engine/memo.hpp"
 
 namespace ilp::engine {
 namespace {
@@ -48,6 +52,56 @@ TEST(HashStream, FieldDelimitingPreventsConcatenationCollisions) {
   const auto h3 = HashStream().u64(1).u64(2).digest();
   const auto h4 = HashStream().u64(2).u64(1).digest();
   EXPECT_NE(h3, h4);
+}
+
+// --- SlotTable ---------------------------------------------------------------
+
+struct KeySlot {
+  int key;
+  std::once_flag once;
+  int fills = 0;
+};
+
+std::pair<KeySlot&, bool> slot_for(SlotTable<KeySlot>& t, std::uint64_t hash, int key) {
+  return t.find_or_insert(
+      hash, [&](const KeySlot& s) { return s.key == key; },
+      [&] { return std::make_unique<KeySlot>(key); });
+}
+
+// Two keys under one hash stay two slots: the predicate, not the hash, decides.
+TEST(SlotTable, CollidingHashesKeepDistinctKeysApart) {
+  SlotTable<KeySlot> t;
+  auto [a, a_new] = slot_for(t, 7, 1);
+  auto [b, b_new] = slot_for(t, 7, 2);
+  auto [c, c_new] = slot_for(t, 7, 1);
+  auto [d, d_new] = slot_for(t, 8, 1);  // the same key under another hash
+  EXPECT_TRUE(a_new);
+  EXPECT_TRUE(b_new);
+  EXPECT_FALSE(c_new);
+  EXPECT_TRUE(d_new);
+  EXPECT_NE(&a, &b);
+  EXPECT_EQ(&a, &c);
+  EXPECT_NE(&a, &d);
+  EXPECT_EQ(a.key, 1);
+  EXPECT_EQ(b.key, 2);
+}
+
+// Concurrent callers of one key get one slot and fill it once.
+TEST(SlotTable, ConcurrentCallersShareOneSlotFilledOnce) {
+  SlotTable<KeySlot> t;
+  std::vector<std::thread> threads;
+  std::atomic<int> fresh{0};
+  for (int i = 0; i < 8; ++i)
+    threads.emplace_back([&, i] {
+      for (int key = 0; key < 16; ++key) {
+        auto [slot, inserted] = slot_for(t, static_cast<std::uint64_t>(key % 3), key);
+        if (inserted) ++fresh;
+        std::call_once(slot.once, [&] { ++slot.fills; });
+        EXPECT_EQ(slot.fills, 1) << "thread " << i;
+      }
+    });
+  for (std::thread& th : threads) th.join();
+  EXPECT_EQ(fresh.load(), 16);
 }
 
 TEST(ResultCache, MemoryTierRoundTrip) {

@@ -255,13 +255,13 @@ TEST(CellPlan, TunerLeavesMatchDirectCompiles) {
   int leaves = 0;
   for (const Workload& w : workload_suite()) {
     tune::SearchPlan plan(w.source, issue);
-    std::vector<std::future<Expected<Function>>> built;
+    std::vector<std::future<Expected<const Function*>>> built;
     for (const tune::TuneConfig& c : configs)
       built.push_back(pool.submit([&plan, c] { return plan.leaf(c); }));
     for (std::size_t i = 0; i < configs.size(); ++i) {
       const tune::TuneConfig& c = configs[i];
       const std::string where = w.name + " " + c.name();
-      const Expected<Function> leaf = built[i].get();
+      const Expected<const Function*> leaf = built[i].get();
       const CompileOptions opts = tune::to_compile_options(c);
       if (!leaf) {
         EXPECT_EQ(leaf.error_message(),
@@ -273,9 +273,9 @@ TEST(CellPlan, TunerLeavesMatchDirectCompiles) {
       auto fresh = dsl::compile(w.source, diags);
       ASSERT_TRUE(fresh.has_value()) << where;
       compile_with_transforms(fresh->fn, TransformSet::for_level(c.level), m, opts);
-      EXPECT_EQ(to_string(*leaf), to_string(fresh->fn)) << where;
-      EXPECT_EQ(uids(*leaf), uids(fresh->fn)) << where;
-      expect_same_features(tune::extract_features(*leaf, m),
+      EXPECT_EQ(to_string(**leaf), to_string(fresh->fn)) << where;
+      EXPECT_EQ(uids(**leaf), uids(fresh->fn)) << where;
+      expect_same_features(tune::extract_features(**leaf, m),
                            tune::extract_features(fresh->fn, m), where);
       ++leaves;
     }

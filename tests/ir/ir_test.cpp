@@ -1,5 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <functional>
+#include <utility>
+#include <vector>
+
 #include "ir/builder.hpp"
 #include "ir/function.hpp"
 #include "ir/printer.hpp"
@@ -145,47 +149,74 @@ Function same_code_fixture(std::string name = "loop", std::int64_t array_base = 
   return fn;
 }
 
+// Edits that each change one field same_code compares.
+std::vector<std::pair<const char*, std::function<void(Function&)>>> code_edits() {
+  const auto body = [](Function& f) -> std::vector<Instruction>& {
+    return f.block(1).insts;
+  };
+  return {
+      {"opcode", [=](Function& f) { body(f)[1].op = Opcode::FADD; }},
+      {"destination", [=](Function& f) { body(f)[1].dst = Reg{RegClass::Fp, 9}; }},
+      {"first operand", [=](Function& f) { body(f)[2].src1 = Reg{RegClass::Fp, 9}; }},
+      {"second operand", [=](Function& f) { body(f)[2].src2 = Reg{RegClass::Fp, 9}; }},
+      {"operand class", [=](Function& f) { body(f)[0].src1.cls = RegClass::Fp; }},
+      {"immediate flag", [=](Function& f) { body(f)[4].src2_is_imm = false; }},
+      {"int immediate", [=](Function& f) { body(f)[4].ival = 8; }},
+      {"memory offset", [=](Function& f) { body(f)[3].ival = 8; }},
+      {"fp immediate", [=](Function& f) { body(f)[1].fval = 3.5; }},
+      {"fp immediate sign", [](Function& f) { f.block(0).insts[1].fval = -0.0; }},
+      {"array id", [=](Function& f) { body(f)[0].array_id = kMayAliasAll; }},
+      {"branch target", [=](Function& f) { body(f)[5].target = 0; }},
+      {"dropped instruction", [=](Function& f) { body(f).pop_back(); }},
+      {"block name", [](Function& f) { f.block(1).name = "loop"; }},
+      {"extra block", [](Function& f) { f.add_block("exit"); }},
+      {"live-out", [](Function& f) { f.set_live_out({}); }},
+      {"int register count", [](Function& f) { f.new_int_reg(); }},
+      {"fp register count", [](Function& f) { f.new_fp_reg(); }},
+      {"array", [](Function& f) { f.add_array({"B", 256, 4, 64, true}); }},
+  };
+}
+
+// `base` with every uid rewritten: a different numbering of the same code.
+Function renumbered(const Function& base) {
+  Function out = base;
+  for (Block& blk : out.blocks())
+    for (Instruction& in : blk.insts) in.uid = 1000 - in.uid;
+  return out;
+}
+
 TEST(Ir, SameCodeIgnoresUidsOnly) {
   const Function base = same_code_fixture();
   EXPECT_TRUE(same_code(base, base));
 
   // Uids are analysis keys: a different numbering is the same code.
-  Function renumbered = base;
-  for (Block& blk : renumbered.blocks())
-    for (Instruction& in : blk.insts) in.uid = 1000 - in.uid;
-  EXPECT_TRUE(same_code(base, renumbered));
-  EXPECT_TRUE(same_code(renumbered, base));
+  const Function other_uids = renumbered(base);
+  EXPECT_TRUE(same_code(base, other_uids));
+  EXPECT_TRUE(same_code(other_uids, base));
 
-  const auto differs = [&](const char* what, auto&& edit) {
+  for (const auto& [what, edit] : code_edits()) {
     Function changed = base;
     edit(changed);
     EXPECT_FALSE(same_code(base, changed)) << what;
     EXPECT_FALSE(same_code(changed, base)) << what;
-  };
-  const auto body = [](Function& f) -> std::vector<Instruction>& {
-    return f.block(1).insts;
-  };
-  differs("opcode", [&](Function& f) { body(f)[1].op = Opcode::FADD; });
-  differs("destination", [&](Function& f) { body(f)[1].dst = Reg{RegClass::Fp, 9}; });
-  differs("first operand", [&](Function& f) { body(f)[2].src1 = Reg{RegClass::Fp, 9}; });
-  differs("second operand", [&](Function& f) { body(f)[2].src2 = Reg{RegClass::Fp, 9}; });
-  differs("operand class", [&](Function& f) { body(f)[0].src1.cls = RegClass::Fp; });
-  differs("immediate flag", [&](Function& f) { body(f)[4].src2_is_imm = false; });
-  differs("int immediate", [&](Function& f) { body(f)[4].ival = 8; });
-  differs("memory offset", [&](Function& f) { body(f)[3].ival = 8; });
-  differs("fp immediate", [&](Function& f) { body(f)[1].fval = 3.5; });
-  differs("fp immediate sign", [&](Function& f) { f.block(0).insts[1].fval = -0.0; });
-  differs("array id", [&](Function& f) { body(f)[0].array_id = kMayAliasAll; });
-  differs("branch target", [&](Function& f) { body(f)[5].target = 0; });
-  differs("dropped instruction", [&](Function& f) { body(f).pop_back(); });
-  differs("block name", [&](Function& f) { f.block(1).name = "loop"; });
-  differs("extra block", [&](Function& f) { f.add_block("exit"); });
-  differs("live-out", [&](Function& f) { f.set_live_out({}); });
-  differs("int register count", [&](Function& f) { f.new_int_reg(); });
-  differs("fp register count", [&](Function& f) { f.new_fp_reg(); });
-  differs("array", [&](Function& f) { f.add_array({"B", 256, 4, 64, true}); });
+  }
   EXPECT_FALSE(same_code(base, same_code_fixture("other")));
   EXPECT_FALSE(same_code(base, same_code_fixture("loop", 16)));  // array base
+}
+
+// code_hash reads exactly what same_code compares: equal code hashes equal
+// whatever its uids, and each compared field moves the hash.
+TEST(Ir, CodeHashCoversWhatSameCodeCompares) {
+  const Function base = same_code_fixture();
+  EXPECT_EQ(code_hash(base), code_hash(renumbered(base)));
+  EXPECT_EQ(code_hash(base), code_hash(same_code_fixture()));
+  for (const auto& [what, edit] : code_edits()) {
+    Function changed = base;
+    edit(changed);
+    EXPECT_NE(code_hash(base), code_hash(changed)) << what;
+  }
+  EXPECT_NE(code_hash(base), code_hash(same_code_fixture("other")));
+  EXPECT_NE(code_hash(base), code_hash(same_code_fixture("loop", 16)));
 }
 
 TEST(Ir, ArrayLookup) {

@@ -113,10 +113,11 @@ TEST(TuneVerb, MalformedRequestsAreBadRequests) {
 
 TEST(TuneVerb, DeadlineStopsSearchWithBestSoFarNotError) {
   Service service(config(4));
-  // 1 ms cannot cover the seed round, so the search stops at the first
-  // cancellation poll — and still answers with the seeds' best.
+  // 1 ms cannot cover the seed round (NAS-5 simulates about 1 ms per seed;
+  // APS-1's whole seed round can finish inside 1 ms), so the search stops at
+  // the first cancellation poll — and still answers with the seeds' best.
   const JsonValue v =
-      parse_ok(service.serve(autotune_line("APS-1", /*rounds=*/4,
+      parse_ok(service.serve(autotune_line("NAS-5", /*rounds=*/4,
                                            /*deadline_ms=*/1, /*max_sims=*/48))
                    .to_line());
   ASSERT_TRUE(v.find("ok")->as_bool()) << error_kind_of(v);
@@ -129,13 +130,13 @@ TEST(TuneVerb, DeadlineStopsSearchWithBestSoFarNotError) {
   // A truncated search must not poison the whole-result cache: the same
   // search with a generous deadline runs fresh and completes...
   const JsonValue full =
-      parse_ok(service.serve(autotune_line("APS-1", /*rounds=*/4)).to_line());
+      parse_ok(service.serve(autotune_line("NAS-5", /*rounds=*/4)).to_line());
   ASSERT_TRUE(full.find("ok")->as_bool());
   EXPECT_FALSE(full.find("cached")->as_bool());
   EXPECT_FALSE(full.find("result")->find("stopped_early")->as_bool());
   // ...and only the complete run is what later requests replay.
   const JsonValue warm =
-      parse_ok(service.serve(autotune_line("APS-1", /*rounds=*/4)).to_line());
+      parse_ok(service.serve(autotune_line("NAS-5", /*rounds=*/4)).to_line());
   EXPECT_TRUE(warm.find("cached")->as_bool());
   EXPECT_FALSE(warm.find("result")->find("stopped_early")->as_bool());
 }

@@ -3,9 +3,14 @@
 // differential interpreter oracle over tuned fuzz programs.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <map>
 #include <set>
 #include <string>
 #include <thread>
+#include <tuple>
+#include <utility>
+#include <vector>
 
 #include "common/fixtures.hpp"
 #include "common/interp.hpp"
@@ -14,6 +19,7 @@
 #include "engine/pool.hpp"
 #include "frontend/compile.hpp"
 #include "harness/experiment.hpp"
+#include "sim/profile.hpp"
 #include "sim/simulator.hpp"
 #include "tune/tune.hpp"
 #include "workloads/suite.hpp"
@@ -103,7 +109,7 @@ TEST(Autotune, CountsAreConsistentAndAuditTrailIsComplete) {
     else
       ++failed;
     if (e.simulated && e.ok) {
-      EXPECT_GT(e.cycles, 0u) << e.config.name();
+      EXPECT_GT(e.cycles, 0u) << e.config().name();
     }
   }
   EXPECT_EQ(simulated, r.simulated);
@@ -119,32 +125,269 @@ std::uint64_t pass_count(const char* name) {
   return 0;
 }
 
-// One search runs the frontend and Conv once per nest set it analyzes, the
-// backend once per config, never measures registers, and measures each
-// simulated config on the leaf analyze built: measure compiles nothing.
+// One search runs the frontend and Conv once per nest set it analyzes, a
+// level stage once per (prefix code, level, unroll) and the backend once per
+// distinct (level code, scheduler), never measures registers, and measures
+// each simulated config on a leaf analyze built: measure compiles nothing.
+// The distinct stages are counted independently, from one-shot prefixes and
+// level forks of every config the search considered.
 TEST(Autotune, SearchCompilesEachPrefixOnceAndEachConfigOnce) {
   const char* passes[] = {"pass.frontend", "pass.conventional", "pass.regalloc",
-                          "pass.schedule"};
-  std::uint64_t before[4];
-  for (int i = 0; i < 4; ++i) before[i] = pass_count(passes[i]);
+                          "pass.schedule", "pass.cleanup"};
+  std::uint64_t before[5];
+  for (int i = 0; i < 5; ++i) before[i] = pass_count(passes[i]);
 
-  const tune::TuneResult r = tune::autotune(suite_source("APS-1"), tune::TuneOptions{});
+  const Workload& w = *find_workload("APS-1");
+  const tune::TuneResult r = tune::autotune(w.source, tune::TuneOptions{});
   ASSERT_TRUE(r.ok) << r.error;
-  std::set<std::uint64_t> nest_sets;
+  std::uint64_t delta[5];
+  for (int i = 0; i < 5; ++i) delta[i] = pass_count(passes[i]) - before[i];
+
+  // Prefixes by nest set, numbered by their first same-code prefix.
+  std::map<std::uint64_t, std::pair<LoopPlan, std::size_t>> prefixes;
+  std::vector<const LoopPlan*> prefix_codes;
+  std::set<std::tuple<std::size_t, OptLevel, int>> level_stages;
+  std::vector<LevelPlan> leaves;  // one per distinct (level code, scheduler)
   for (const tune::CandidateEval& e : r.evals) {
-    ASSERT_TRUE(e.ok) << e.config.name();
-    tune::TuneConfig prefix;
-    prefix.nest = e.config.nest;
-    if (!prefix.nest.tile) prefix.nest.tile_size = NestOptions{}.tile_size;
-    nest_sets.insert(prefix.order_key());
+    ASSERT_TRUE(e.ok) << e.config().name();
+    CompileOptions opts = tune::to_compile_options(e.config());
+    if (!opts.nest.tile) opts.nest.tile_size = NestOptions{}.tile_size;
+    tune::TuneConfig nest_only;
+    nest_only.nest = opts.nest;
+    auto it = prefixes.find(nest_only.order_key());
+    if (it == prefixes.end()) {
+      CompileOptions prefix_opts;
+      prefix_opts.nest = opts.nest;
+      auto plan = LoopPlan::build(w, prefix_opts);
+      ASSERT_TRUE(plan) << plan.error_message();
+      it = prefixes.emplace(nest_only.order_key(), std::make_pair(std::move(*plan), 0))
+               .first;
+      const LoopPlan& mine = it->second.first;
+      const auto twin = std::find_if(prefix_codes.begin(), prefix_codes.end(),
+                                     [&](const LoopPlan* p) { return p->same_prefix(mine); });
+      it->second.second = static_cast<std::size_t>(twin - prefix_codes.begin());
+      if (twin == prefix_codes.end()) prefix_codes.push_back(&mine);
+    }
+    level_stages.emplace(it->second.second, e.config().level, e.config().unroll);
+    auto lv = it->second.first.level(e.config().level, opts);
+    ASSERT_TRUE(lv) << lv.error_message();
+    if (std::none_of(leaves.begin(), leaves.end(),
+                     [&](const LevelPlan& l) { return l.same_leaves(*lv); }))
+      leaves.push_back(std::move(*lv));
   }
-  EXPECT_GT(nest_sets.size(), 1u);
+  EXPECT_GT(prefixes.size(), prefix_codes.size());
+  EXPECT_LT(level_stages.size(), r.evals.size());
+  EXPECT_LT(leaves.size(), r.evals.size());
   EXPECT_GT(r.simulated, 0u);
 
-  EXPECT_EQ(pass_count("pass.frontend") - before[0], nest_sets.size());
-  EXPECT_EQ(pass_count("pass.conventional") - before[1], nest_sets.size());
-  EXPECT_EQ(pass_count("pass.regalloc") - before[2], 0u);
-  EXPECT_EQ(pass_count("pass.schedule") - before[3], r.evals.size());
+  EXPECT_EQ(delta[0], prefixes.size());
+  EXPECT_EQ(delta[1], prefixes.size());
+  EXPECT_EQ(delta[2], 0u);
+  EXPECT_EQ(delta[3], leaves.size());
+  EXPECT_EQ(delta[4], level_stages.size());
+}
+
+// --- Code-addressed sharing --------------------------------------------------
+
+// The exact sharing counters of one search: every config reaches a level
+// stage, a schedule and (when simulated) a simulation, each either computed
+// for it or already computed for a twin.  Shared measurements are not cache
+// hits.
+TEST(Autotune, SharingCountersArePinnedForOneSearch) {
+  const char* counters[] = {"pass.cleanup", "tune.levels_shared", "pass.schedule",
+                            "tune.schedules_shared", "pass.simulate", "tune.sims_shared"};
+  std::uint64_t before[6];
+  for (int i = 0; i < 6; ++i) before[i] = pass_count(counters[i]);
+  const tune::TuneResult r = tune::autotune(suite_source("APS-1"), tune::TuneOptions{});
+  ASSERT_TRUE(r.ok) << r.error;
+  std::uint64_t d[6];
+  for (int i = 0; i < 6; ++i) d[i] = pass_count(counters[i]) - before[i];
+
+  EXPECT_EQ(r.evals.size(), 58u);
+  EXPECT_EQ(r.simulated, 32u);
+  EXPECT_EQ(r.cache_hits, 0u);
+  EXPECT_EQ(d[0] + d[1], r.evals.size());
+  EXPECT_EQ(d[2] + d[3], r.evals.size());
+  EXPECT_EQ(d[4] + d[5], r.simulated);
+  EXPECT_EQ(d[0], 33u);  // level stages
+  EXPECT_EQ(d[2], 33u);  // schedules
+  EXPECT_EQ(d[4], 15u);  // simulations
+}
+
+// Forwards to another evaluator, recording every config's analysis and
+// measurement.
+class RecordingEvaluator : public tune::Evaluator {
+ public:
+  explicit RecordingEvaluator(tune::Evaluator& inner) : inner_(inner) {}
+
+  std::vector<Analysis> analyze(const std::string& source, int issue,
+                                const std::vector<tune::TuneConfig>& cfgs) override {
+    auto out = inner_.analyze(source, issue, cfgs);
+    for (std::size_t i = 0; i < cfgs.size(); ++i)
+      analyses.emplace(cfgs[i].order_key(), std::make_pair(cfgs[i], out[i]));
+    return out;
+  }
+  std::vector<Measurement> measure(const std::string& source, int issue,
+                                   const std::vector<tune::TuneConfig>& cfgs) override {
+    auto out = inner_.measure(source, issue, cfgs);
+    for (std::size_t i = 0; i < cfgs.size(); ++i)
+      measurements.emplace(cfgs[i].order_key(), out[i]);
+    return out;
+  }
+
+  std::map<std::uint64_t, std::pair<tune::TuneConfig, Analysis>> analyses;
+  std::map<std::uint64_t, Measurement> measurements;
+
+ private:
+  tune::Evaluator& inner_;
+};
+
+// Exhaustive searches share prefixes, levels, schedules and simulations
+// between twin configs on a pool; every config's features and cycles must
+// still be those of a one-shot compile and simulation of that config alone.
+TEST(Autotune, TwinConfigsMeasureLikeOneShotCompiles) {
+  engine::ThreadPool pool(2);
+  const MachineModel m = MachineModel::issue(tune::TuneOptions{}.issue);
+  const char* shared[] = {"tune.levels_shared", "tune.schedules_shared",
+                          "tune.sims_shared"};
+  std::uint64_t before[3];
+  for (int i = 0; i < 3; ++i) before[i] = pass_count(shared[i]);
+  std::uint64_t nest_configs = 0, scheduler_differs = 0;
+  for (const char* name : {"APS-1", "NAS-5", "SRS-1", "TFS-1"}) {
+    const Workload& w = *find_workload(name);
+    tune::LocalEvaluator local(&pool);
+    RecordingEvaluator rec(local);
+    tune::TuneOptions opts;
+    opts.use_cost_model = false;
+    const tune::TuneResult r = tune::autotune(w.source, opts, rec);
+    ASSERT_TRUE(r.ok) << name << ": " << r.error;
+    EXPECT_EQ(r.cache_hits, 0u) << name;
+    for (const auto& [key, entry] : rec.analyses) {
+      const auto& [c, a] = entry;
+      const std::string where = std::string(name) + " " + c.name();
+      auto fresh = try_compile_workload(w, c.level, m, tune::to_compile_options(c));
+      ASSERT_EQ(a.ok, fresh.has_value()) << where;
+      if (!a.ok) {
+        EXPECT_EQ(a.error, fresh.error_message()) << where;
+        continue;
+      }
+      const tune::IrFeatures f = tune::extract_features(fresh->fn, m);
+      EXPECT_EQ(a.features.analytic_cycles, f.analytic_cycles) << where;
+      EXPECT_EQ(a.features.load_slots, f.load_slots) << where;
+      EXPECT_EQ(a.features.static_insts, f.static_insts) << where;
+      EXPECT_EQ(a.features.blocks, f.blocks) << where;
+      EXPECT_EQ(a.features.counted_loops, f.counted_loops) << where;
+      EXPECT_EQ(a.features.default_loops, f.default_loops) << where;
+
+      const auto meas = rec.measurements.find(key);
+      if (meas == rec.measurements.end()) continue;
+      const auto sim = try_simulate_profile(fresh->fn, m);
+      ASSERT_TRUE(sim) << where << ": " << sim.error_message();
+      ASSERT_TRUE(meas->second.ok) << where << ": " << meas->second.error;
+      EXPECT_EQ(meas->second.cycles, sim->result.cycles) << where;
+      EXPECT_EQ(meas->second.mem_wait, sim->profile.fraction(StallCause::MemWait)) << where;
+      EXPECT_FALSE(meas->second.cache_hit) << where;
+      if (c.nest.any()) ++nest_configs;
+      tune::TuneConfig list = c;
+      list.scheduler = SchedulerKind::List;
+      const auto list_meas = rec.measurements.find(list.order_key());
+      if (c.scheduler == SchedulerKind::Modulo && list_meas != rec.measurements.end() &&
+          list_meas->second.cycles != meas->second.cycles)
+        ++scheduler_differs;
+    }
+  }
+  // The searches reached configs with nest flags on, configs whose scheduler
+  // changes their cycles, and twins at every stage.
+  EXPECT_GT(nest_configs, 0u);
+  EXPECT_GT(scheduler_differs, 0u);
+  for (int i = 0; i < 3; ++i) EXPECT_GT(pass_count(shared[i]) - before[i], 0u) << shared[i];
+}
+
+// A one-loop dot product: no nest pass finds anything to do, so every nest
+// set compiles to the same prefix, level, leaf and simulation.
+constexpr const char* kDotProduct =
+    "program dot\narray A[64] fp\narray B[64] fp\nscalar s fp out\n"
+    "loop i = 1 to 64 {\n  s = s + A[i] * B[i];\n}\n";
+
+// Twins in one pool batch coalesce on one slot per stage however the jobs
+// interleave; each config still gets its own measurement, stored under its
+// own cache key, and none is a cache hit until the batch is measured again.
+TEST(Autotune, TwinsInOneBatchCoalesceOnThePool) {
+  engine::ThreadPool pool(4);
+  engine::ResultCache cache;
+  tune::LocalEvaluator eval(&pool, &cache);
+  std::vector<tune::TuneConfig> batch;
+  for (int flags = 0; flags < 16; ++flags) {
+    tune::TuneConfig c;
+    c.nest.interchange = (flags & 1) != 0;
+    c.nest.fuse = (flags & 2) != 0;
+    c.nest.fission = (flags & 4) != 0;
+    c.nest.tile = (flags & 8) != 0;
+    batch.push_back(c);
+  }
+  const char* counters[] = {"pass.frontend", "pass.cleanup", "pass.schedule",
+                            "pass.simulate", "tune.levels_shared",
+                            "tune.schedules_shared", "tune.sims_shared"};
+  std::uint64_t before[7];
+  for (int i = 0; i < 7; ++i) before[i] = pass_count(counters[i]);
+  const int issue = tune::TuneOptions{}.issue;
+  const auto analyses = eval.analyze(kDotProduct, issue, batch);
+  const auto measured = eval.measure(kDotProduct, issue, batch);
+  std::uint64_t d[7];
+  for (int i = 0; i < 7; ++i) d[i] = pass_count(counters[i]) - before[i];
+
+  EXPECT_EQ(d[0], batch.size());  // a prefix per nest set...
+  EXPECT_EQ(d[1], 1u);            // ...one level stage, schedule and simulation
+  EXPECT_EQ(d[2], 1u);
+  EXPECT_EQ(d[3], 1u);
+  EXPECT_EQ(d[4], batch.size() - 1);
+  EXPECT_EQ(d[5], batch.size() - 1);
+  EXPECT_EQ(d[6], batch.size() - 1);
+  for (std::size_t i = 0; i < batch.size(); ++i) {
+    ASSERT_TRUE(analyses[i].ok) << batch[i].name() << ": " << analyses[i].error;
+    ASSERT_TRUE(measured[i].ok) << batch[i].name() << ": " << measured[i].error;
+    EXPECT_EQ(analyses[i].features.analytic_cycles, analyses[0].features.analytic_cycles);
+    EXPECT_EQ(measured[i].cycles, measured[0].cycles) << batch[i].name();
+    EXPECT_FALSE(measured[i].cache_hit) << batch[i].name();
+  }
+
+  const auto again = eval.measure(kDotProduct, issue, batch);
+  for (std::size_t i = 0; i < batch.size(); ++i) {
+    EXPECT_TRUE(again[i].cache_hit) << batch[i].name();
+    EXPECT_EQ(again[i].cycles, measured[i].cycles) << batch[i].name();
+  }
+  EXPECT_EQ(pass_count("pass.simulate") - before[3], 1u);
+}
+
+// Every config the neighbor grids can reach survives the order-key encoding
+// CandidateEval stores, and no two share a key.
+TEST(Autotune, OrderKeyRoundTripsEveryReachableConfig) {
+  std::set<std::uint64_t> keys;
+  std::size_t n = 0;
+  for (const OptLevel l : kLevels)
+    for (const int u : tune::kUnrollGrid)
+      for (const SchedulerKind s : {SchedulerKind::List, SchedulerKind::Modulo})
+        for (int flags = 0; flags < 16; ++flags)
+          for (const int ts : tune::kTileGrid) {
+            tune::TuneConfig c;
+            c.level = l;
+            c.unroll = u;
+            c.scheduler = s;
+            c.nest.interchange = (flags & 1) != 0;
+            c.nest.fuse = (flags & 2) != 0;
+            c.nest.fission = (flags & 4) != 0;
+            c.nest.tile = (flags & 8) != 0;
+            c.nest.tile_size = ts;
+            const std::uint64_t key = c.order_key();
+            EXPECT_LT(key, std::uint64_t{1} << 28) << c.name();
+            EXPECT_EQ(tune::TuneConfig::from_order_key(key), c) << c.name();
+            EXPECT_EQ(tune::CandidateEval(c, 3).config(), c) << c.name();
+            keys.insert(key);
+            ++n;
+          }
+  EXPECT_EQ(keys.size(), n);
+  EXPECT_EQ(tune::TuneConfig::from_order_key(tune::default_config().order_key()),
+            tune::default_config());
 }
 
 TEST(Autotune, RepeatTuningIsServedFromTheCache) {
